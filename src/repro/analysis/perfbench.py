@@ -16,9 +16,9 @@ Workloads:
   plus ``single_session_dense_trace`` over a 1 ms-granularity bandwidth
   trace (the resolution of standard cellular trace corpora) with bursty
   loss (≥2× gate), plus ``single_session_fec`` — an XOR-FEC-protected
-  bursty session through the batched send path (the send side is batched,
-  delivery stays per-packet for decode-order exactness, so the gain is
-  modest and the workload is gated on equivalence, not speedup).
+  bursty session on per-packet delivery in both modes (kept for
+  decode-order exactness; only the per-decision fast path differs, so the
+  workload is gated on equivalence, not speedup).
 * ``closed_loop_session`` — a feedback-driven session: receiver reports
   over the feedback path, a GCC + throughput-ABR controller retuning the
   sender per report.  Like the FEC session it is gated on equivalence
@@ -39,8 +39,8 @@ a failed gate must mean a regression).  Before timing anything the harness
 asserts statistical equivalence between the scalar and vectorized paths:
 identical seeds must produce identical drop sequences (Bernoulli and
 Gilbert-Elliott), identical ``rate_at`` lookups, identical end-to-end
-session statistics — including jittered, single-packet-frame and
-FEC-protected sessions that stress the batched delivery path — and
+session statistics — including jittered and single-packet-frame sessions
+that stress the batched delivery path, and FEC-protected sessions — and
 identical FEC parity bytes.  A speedup claimed over a baseline that
 computes something different would be meaningless.
 """
@@ -182,9 +182,10 @@ def _run_fec_session(
     jitter_std_s: float = 0.0,
 ) -> tuple:
     """One FEC-protected bursty session; returns every observable that must
-    match between the scalar path and the batched send path: the latency
-    summary, the decoder's recovery counters, and a digest of per-frame
-    completion instants (bit-exact, not just statistically close)."""
+    match between the scalar path and the per-decision fast path (FEC
+    sessions deliver per packet in both): the latency summary, the
+    decoder's recovery counters, and a digest of per-frame completion
+    instants (bit-exact, not just statistically close)."""
     config = PathConfig(
         loss_model=GilbertElliottLoss(p_good_to_bad=0.04, p_bad_to_good=0.3, loss_in_bad=0.5),
         seed=seed,
@@ -505,8 +506,8 @@ def equivalence_report(session_duration_s: float = 2.0) -> dict[str, bool]:
         fec_fast = _run_fec_codec(40, digest_every=1)
     checks["fec_payload_bytes_identical"] = fec_scalar == fec_fast
 
-    # FEC sessions ride the batched send_block path (per-packet delivery
-    # events); their stats must match the scalar reference bit-for-bit —
+    # FEC sessions deliver per packet with block drop sampling and bisect
+    # trace lookups; their stats must match the scalar reference bit-for-bit —
     # latency summary, recovery/spurious counters, per-frame completion
     # instants — including under jitter and with single-packet frames.
     fec_session_variants = {
@@ -680,7 +681,7 @@ def canonical_workloads(
             "detail": {
                 "duration_s": session_s,
                 "loss_model": "gilbert_elliott",
-                "note": "FEC session through the batched send path (per-packet delivery)",
+                "note": "FEC session: per-packet delivery, per-decision fast path",
             },
         }
     )

@@ -392,7 +392,6 @@ class EmulatedPath:
         deliver: Callable[[Packet, float], None],
         deliver_block: Optional[Callable[[Any, np.ndarray, np.ndarray, int, bool], None]] = None,
         lazy_dequeue: Optional[bool] = None,
-        deliver_single: Optional[Callable[[Any, int, float], None]] = None,
     ) -> None:
         self.loop = loop
         self.config = config
@@ -405,23 +404,8 @@ class EmulatedPath:
         #: ``lazy_dequeue`` overrides that default (the transport enables it
         #: for the feedback path alongside block mode).
         self._deliver_block = deliver_block
-        #: Per-packet block-delivery callback ``(context, offset, arrival)``.
-        #: When set (instead of ``deliver_block``), :meth:`send_block` still
-        #: batches drop decisions, admission, serialisation and jitter in
-        #: numpy, but schedules one arrival event per delivered packet — in
-        #: burst order at send time, exactly like per-packet :meth:`send`
-        #: calls, so the event-loop insertion order (and therefore every
-        #: same-instant tie-break) matches the scalar path bit-for-bit.  The
-        #: FEC transport uses this: parity decode decisions are coupled to
-        #: individual arrival instants in ways run-granular delivery does
-        #: not reproduce.
-        self._deliver_single = deliver_single
-        if deliver_block is not None and deliver_single is not None:
-            raise ValueError("deliver_block and deliver_single are mutually exclusive")
         self._lazy_dequeue = (
-            (deliver_block is not None or deliver_single is not None)
-            if lazy_dequeue is None
-            else lazy_dequeue
+            deliver_block is not None if lazy_dequeue is None else lazy_dequeue
         )
         # FIFO of [finish_times, cumulative_bytes, consumed_pos] chunks; the
         # link serialises in order, so finish times are globally monotone
@@ -456,11 +440,9 @@ class EmulatedPath:
         self._drop_pos = 0
         # Per-burst derived arrays memoised on the sizes array's identity:
         # fixed-bitrate senders offer the same (memoised) sizes array every
-        # frame, so cumulative bytes and bit counts never change.  Two MRU
-        # slots, because an FEC sender alternates two arrays per frame (the
-        # data burst's sizes and the parity burst's); the held references
-        # keep the arrays alive, so identity comparison stays sound.
-        self._burst_memo: list[list] = []
+        # frame, so cumulative bytes and bit counts never change.  The held
+        # reference keeps the array alive, so identity comparison stays sound.
+        self._burst_memo: Optional[tuple] = None
         self._ser_scratch = np.empty(96)
         self._queue_bytes = 0
         # Time at which the transmitter finishes serialising the last queued packet.
@@ -652,19 +634,13 @@ class EmulatedPath:
         else:
             kept_sizes = sizes
             memo = self._burst_memo
-            for index, entry in enumerate(memo):
-                if entry[0] is sizes:
-                    _, cum, bits, pcum = entry
-                    if index:
-                        del memo[index]
-                        memo.insert(0, entry)
-                    break
+            if memo is not None and memo[0] is sizes:
+                _, cum, bits, pcum = memo
             else:
                 cum = np.cumsum(sizes)
                 bits = sizes * 8
                 pcum = np.concatenate((np.zeros(1, dtype=np.int64), cum))
-                memo.insert(0, [sizes, cum, bits, pcum])
-                del memo[2:]
+                self._burst_memo = (sizes, cum, bits, pcum)
         capacity = self.config.queue_capacity_bytes
         if self._queue_bytes + int(cum[-1]) > capacity:
             # Rare overflow: replicate per-packet drop-tail admission (a
@@ -714,25 +690,6 @@ class EmulatedPath:
             arrivals = arrivals + np.abs(
                 self._jitter_rng.normal(0.0, self.config.jitter_std_s, size=len(keep))
             )
-
-        if self._deliver_single is not None:
-            # Per-packet delivery: one event per surviving packet, inserted
-            # now in burst order — the same heap insertion order per-packet
-            # send() calls would produce, so same-instant ties with timers
-            # resolve identically to the scalar path.
-            deliver = self._deliver_single
-            loop = self.loop
-            for offset, arrival, size in zip(
-                keep.tolist(), arrivals.tolist(), kept_sizes.tolist()
-            ):
-
-                def _arrive_one(offset: int = offset, size: int = size) -> None:
-                    stats.packets_delivered += 1
-                    stats.bytes_delivered += size
-                    deliver(context, offset, loop.now)
-
-                loop.schedule_at(arrival, _arrive_one)
-            return
 
         if jittered:
             # Reordered arrivals can interleave runs, so the whole burst is

@@ -133,43 +133,6 @@ class FecEncoder:
             parity_packets.append(parity)
         return parity_packets
 
-    def protect_burst(
-        self,
-        frame_id: int,
-        count: int,
-        sizes: "np.ndarray | list[int]",
-        capture_time: float,
-    ) -> list[Packet]:
-        """Parity packets for a payload-less frame burst (the batched sender).
-
-        The block-mode sender describes a frame as ``(first_sequence, count,
-        sizes)`` without materialising data packets, so parity is derived
-        from the sizes directly.  Matches :meth:`protect` over
-        ``packetize()``'s packets exactly: same sequence allocation, same
-        covered-index and size metadata, and the same ``None`` payload that
-        :func:`xor_payloads` produces when the covered packets carry no
-        bytes (transport sessions are size-only simulations).
-        """
-        parity_packets: list[Packet] = []
-        group = self.config.group_size
-        for start in range(0, count, group):
-            stop = min(start + group, count)
-            member_sizes = tuple(int(sizes[i]) for i in range(start, stop))
-            parity = Packet(
-                sequence=self._next_fec_sequence,
-                frame_id=frame_id,
-                index_in_frame=-1 - (start // group),
-                packets_in_frame=count,
-                size_bytes=max(member_sizes),
-                capture_time=capture_time,
-                packet_type=PacketType.FEC,
-                payload=None,
-                metadata={"covers": tuple(range(start, stop)), "sizes": member_sizes},
-            )
-            self._next_fec_sequence += 1
-            parity_packets.append(parity)
-        return parity_packets
-
 
 class FecDecoder:
     """Recovers a single missing data packet per parity group.

@@ -11,7 +11,7 @@ completely received — which Figure 3 sweeps against bitrate and loss rate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -109,21 +109,6 @@ class RetransmissionBatch:
 
 
 @dataclass(slots=True)
-class ParityBurst:
-    """One frame's FEC parity packets, sent as a batched burst.
-
-    Parity packets are few (one per ``group_size`` data packets) and carry
-    per-group metadata the decoder needs, so they are materialised up front
-    and the delivery callback simply indexes into them.  Parity bursts only
-    ever travel through the per-packet ``deliver_single`` mode (FEC
-    sessions), so unlike the other burst contexts this one needs no
-    ``packet_size`` accessor for the run-granular delivery machinery.
-    """
-
-    packets: list[Packet]
-
-
-@dataclass(slots=True)
 class FrameDeliveryEvent:
     """Emitted by the receiver when a frame completes reassembly."""
 
@@ -149,6 +134,8 @@ class VideoSender:
         stats: TransportStats,
         block_mode: bool = False,
     ) -> None:
+        if block_mode and config.fec is not None:
+            raise ValueError("block mode sends no parity; FEC senders transmit per packet")
         self.loop = loop
         self.uplink = uplink
         self.config = config
@@ -166,12 +153,6 @@ class VideoSender:
         self._lookup_memo: Optional[BurstContext] = None
         self._last_retransmit_time: dict[int, float] = {}
         self._fec_encoder = FecEncoder(config.fec) if config.fec else None
-        # Parity burst sizes depend only on the frame's byte count (given
-        # the fixed MTU and group size), so fixed-bitrate senders reuse one
-        # array — which also keeps its identity stable for the path's
-        # per-burst memo.
-        self._parity_sizes_bytes = -1
-        self._parity_sizes: Optional[np.ndarray] = None
         #: Latest controller-set target; ``None`` until an action arrives.
         #: Drivers derive frame sizes from this (see ``drive_closed_loop``).
         self.target_bitrate_bps: Optional[float] = None
@@ -193,9 +174,6 @@ class VideoSender:
             group_size = fec_group_size_for_overhead(action.fec_overhead_ratio)
             if group_size != encoder.config.group_size:
                 encoder.config = FecConfig(group_size=group_size)
-                # Parity sizing is a function of the group size; drop the memo.
-                self._parity_sizes_bytes = -1
-                self._parity_sizes = None
 
     def send_frame(self, frame_id: int, size_bytes: int, capture_time: float) -> list[Packet]:
         """Packetise and transmit one encoded frame.
@@ -232,27 +210,6 @@ class VideoSender:
             self.bytes_sent += frame_bytes
             self.packets_sent += count
             self.uplink.send_block(sizes, context)
-            if self._fec_encoder is not None:
-                # Parity travels as its own burst right behind the data —
-                # the same transmit order (data packets, then parity) the
-                # scalar path produces, so loss/jitter RNG streams and
-                # serialisation instants line up exactly.
-                parity = self._fec_encoder.protect_burst(
-                    frame_id, count, sizes, capture_time
-                )
-                for fec_packet in parity:
-                    fec_packet.send_time = now
-                if frame_bytes == self._parity_sizes_bytes:
-                    parity_sizes = self._parity_sizes
-                else:
-                    parity_sizes = np.fromiter(
-                        (p.size_bytes for p in parity), dtype=np.int64, count=len(parity)
-                    )
-                    self._parity_sizes_bytes = frame_bytes
-                    self._parity_sizes = parity_sizes
-                self.bytes_sent += int(parity_sizes.sum())
-                self.packets_sent += len(parity)
-                self.uplink.send_block(parity_sizes, ParityBurst(parity))
             return []
         packets = self.packetizer.packetize(frame_id, size_bytes, capture_time)
         self._sent_packets[frame_id] = {p.index_in_frame: p for p in packets}
@@ -406,7 +363,6 @@ class VideoReceiver:
         send_nack: Callable[[NackRequest], None],
         on_frame: Optional[Callable[[FrameDeliveryEvent], None]] = None,
         send_sequence_nack: Optional[Callable[[SequenceNackRequest], None]] = None,
-        block_mode: bool = False,
         send_report: Optional[Callable[[ReceiverReport], None]] = None,
     ) -> None:
         self.loop = loop
@@ -419,7 +375,6 @@ class VideoReceiver:
         # keyed on exact per-packet arrival timestamps, so recording a whole
         # delivered run at its first arrival leaves every observable
         # statistic identical to per-packet delivery.
-        self._block_mode = block_mode
         self._table = FrameTable()
         self._window = SequenceWindow()
         self._deadlines = DeadlineScheduler(loop)
@@ -724,19 +679,6 @@ class VideoReceiver:
                 tie_time=discovery,
             )
 
-    def on_single(self, packet: Packet, arrival_time: float) -> None:
-        """Record one individually delivered packet."""
-        self._record_single_delivery(
-            frame_id=packet.frame_id,
-            expected=packet.packets_in_frame,
-            index=packet.index_in_frame,
-            sequence=packet.sequence,
-            size_bytes=packet.size_bytes,
-            capture_time=packet.capture_time,
-            send_time=packet.send_time,
-            arrival_time=arrival_time,
-        )
-
     def on_retransmission_block(
         self,
         batch: "RetransmissionBatch",
@@ -1027,30 +969,24 @@ class VideoTransportSession:
         )
 
         # Batched block delivery carries frame bursts as arrays end-to-end.
-        # FEC sessions batch the *sender and path* (drop decisions,
-        # admission, serialisation and jitter in numpy; lost packets never
-        # materialise) but keep per-packet delivery events: parity decode
-        # decisions are order-coupled to individual arrivals in ways
-        # run-granular recording does not reproduce, so each surviving
-        # packet is materialised at its own arrival instant and handed to
-        # the scalar receiver (see docs/PERFORMANCE.md for the contract).
-        fast = fastpath_enabled()
-        fec_enabled = self.transport_config.fec is not None
-        self.block_mode = fast and not fec_enabled
-        self.packet_block_mode = fast and fec_enabled
+        # FEC sessions always take the per-packet reference path (still with
+        # the per-decision fast path: block drop sampling, bisect trace
+        # lookups, numpy XOR): parity decode decisions are order-coupled to
+        # individual arrivals in ways run-granular recording does not
+        # reproduce (see docs/PERFORMANCE.md for the contract).
+        self.block_mode = fastpath_enabled() and self.transport_config.fec is None
 
         self.uplink = EmulatedPath(
             self.loop,
             uplink_config,
             self._deliver_uplink,
             deliver_block=self._deliver_uplink_block if self.block_mode else None,
-            deliver_single=self._deliver_uplink_single if self.packet_block_mode else None,
         )
         self.feedback = EmulatedPath(
             self.loop,
             feedback_config,
             self._deliver_feedback,
-            lazy_dequeue=(self.block_mode or self.packet_block_mode) or None,
+            lazy_dequeue=self.block_mode or None,
         )
 
         self.receiver = VideoReceiver(
@@ -1060,7 +996,6 @@ class VideoTransportSession:
             send_nack=self._queue_nack,
             on_frame=on_frame,
             send_sequence_nack=self._queue_sequence_nack,
-            block_mode=self.block_mode,
             send_report=self._queue_report,
         )
         self.sender = VideoSender(
@@ -1068,7 +1003,7 @@ class VideoTransportSession:
             self.uplink,
             self.transport_config,
             self.stats,
-            block_mode=self.block_mode or self.packet_block_mode,
+            block_mode=self.block_mode,
         )
         self._nack_sequence = 0
         self.controller = controller
@@ -1081,10 +1016,7 @@ class VideoTransportSession:
     # --- wiring ---------------------------------------------------------
 
     def _deliver_uplink(self, packet: Packet, arrival_time: float) -> None:
-        if self.block_mode:
-            self.receiver.on_single(packet, arrival_time)
-        else:
-            self.receiver.on_packet(packet, arrival_time)
+        self.receiver.on_packet(packet, arrival_time)
 
     def _deliver_uplink_block(
         self,
@@ -1098,45 +1030,6 @@ class VideoTransportSession:
             self.receiver.on_block(context, offsets, arrivals, run_bytes, ordered)
         else:
             self.receiver.on_retransmission_block(context, offsets, arrivals, run_bytes, ordered)
-
-    def _deliver_uplink_single(self, context, offset: int, arrival_time: float) -> None:
-        """Materialise packet ``offset`` of a batched burst at its arrival.
-
-        FEC sessions batch the send side but deliver per packet; the
-        materialised packets carry exactly the fields the scalar sender's
-        packets would (sequence, timings, retransmission metadata), so the
-        scalar receiver pipeline — assembler, FEC decoder, NACK machinery —
-        observes an identical stream.
-        """
-        if type(context) is BurstContext:
-            packet = Packet(
-                sequence=context.first_sequence + offset,
-                frame_id=context.frame_id,
-                index_in_frame=offset,
-                packets_in_frame=context.count,
-                size_bytes=context.packet_size(offset),
-                capture_time=context.capture_time,
-                send_time=context.send_time,
-            )
-        elif type(context) is ParityBurst:
-            packet = context.packets[offset]
-        else:  # RetransmissionBatch
-            burst, index = context.entries[offset]
-            packet = Packet(
-                sequence=burst.first_sequence + index,
-                frame_id=burst.frame_id,
-                index_in_frame=index,
-                packets_in_frame=burst.count,
-                size_bytes=burst.packet_size(index),
-                capture_time=burst.capture_time,
-                send_time=context.send_time,
-                packet_type=PacketType.RETRANSMISSION,
-                metadata={
-                    "original_sequence": burst.first_sequence + index,
-                    "request_time": context.request_time,
-                },
-            )
-        self.receiver.on_packet(packet, arrival_time)
 
     def _queue_nack(self, request: NackRequest) -> None:
         packet = Packet(

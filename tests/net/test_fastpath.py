@@ -267,14 +267,14 @@ class TestHorizonEquivalence:
 
 
 class TestFecSessionEquivalence:
-    """FEC sessions ride the batched send path (per-packet delivery).
+    """FEC sessions take per-packet delivery under both flag values.
 
-    The sender and emulated path batch drop decisions, admission,
-    serialisation and jitter; delivery stays per-packet because parity
-    decode decisions are coupled to individual arrival instants.  Every
-    observable — latency summary, recovery/spurious counters, per-frame
-    completion instants, retransmission counts — must match the scalar
-    reference (``REPRO_NET_FASTPATH=0``) bit-for-bit.
+    With the flag on they keep the per-decision fast path (block drop
+    sampling, bisect trace lookups, numpy XOR); delivery stays per-packet
+    because parity decode decisions are coupled to individual arrival
+    instants.  Every observable — latency summary, recovery/spurious
+    counters, per-frame completion instants, retransmission counts — must
+    match the scalar reference (``REPRO_NET_FASTPATH=0``) bit-for-bit.
     """
 
     @pytest.mark.parametrize(
@@ -307,39 +307,148 @@ class TestFecSessionEquivalence:
         fec = dict(result[5])
         assert fec["recovered_packets"] > 0
 
-    def test_fec_session_selects_packet_block_mode(self, monkeypatch):
+    def test_fec_session_takes_reference_delivery(self, monkeypatch):
+        """FEC sessions deliver per packet under both flag values, yet keep
+        the per-decision fast path when it is on — otherwise the FEC
+        equivalence gates would compare the reference path with itself."""
+        from repro.net.emulator import DEFAULT_DROP_BLOCK_SIZE
         from repro.net.fec import FecConfig
         from repro.net.transport import TransportConfig, VideoTransportSession
 
-        monkeypatch.setenv(FASTPATH_ENV, "1")
+        for fast, drop_block in (("0", 1), ("1", DEFAULT_DROP_BLOCK_SIZE)):
+            monkeypatch.setenv(FASTPATH_ENV, fast)
+            session = VideoTransportSession(
+                transport_config=TransportConfig(fec=FecConfig(group_size=5))
+            )
+            assert not session.block_mode
+            assert session.uplink._deliver_block is None
+            assert session.uplink._drop_block_size == drop_block
+
+    def test_block_mode_sender_rejects_fec(self):
+        """Block-mode senders carry no parity, so an FEC config must not
+        silently lose its protection there."""
+        from repro.net.emulator import EmulatedPath
+        from repro.net.events import EventLoop
+        from repro.net.fec import FecConfig
+        from repro.net.stats import TransportStats
+        from repro.net.transport import TransportConfig, VideoSender
+
+        loop = EventLoop()
+        path = EmulatedPath(loop, PathConfig(), lambda packet, arrival: None)
+        config = TransportConfig(fec=FecConfig(group_size=5))
+        with pytest.raises(ValueError):
+            VideoSender(loop, path, config, TransportStats(), block_mode=True)
+
+
+def _sample_fec_configs(count: int = 8, seed: int = 2026) -> list[dict]:
+    """Sampled FEC session configurations, a pure function of ``seed``.
+
+    Scenarios come from ``traces.corpus(0)`` (bursty, trace-driven and
+    lossy links alike); the controller column is a permutation so fixed
+    and adaptive-FEC closed-loop sessions are drawn equally often.
+    """
+    from repro.net.traces import corpus
+
+    scenarios = corpus(0)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(scenarios), size=count, replace=False)
+    bitrates = rng.choice([250_000.0, 1_000_000.0, 4_000_000.0], size=count)
+    group_sizes = rng.choice([3, 5, 8], size=count)
+    closed_loop = rng.permutation([False, True] * (count // 2))
+    path_seeds = rng.integers(0, 2**16, size=count)
+    return [
+        {
+            "scenario": scenarios[int(picks[i])],
+            "bitrate_bps": float(bitrates[i]),
+            "group_size": int(group_sizes[i]),
+            "closed_loop": bool(closed_loop[i]),
+            "path_seed": int(path_seeds[i]),
+        }
+        for i in range(count)
+    ]
+
+
+FEC_SAMPLES = _sample_fec_configs()
+
+
+def _run_sampled_fec_session(sample: dict, duration_s: float = 3.0) -> tuple:
+    """Every observable of one sampled FEC session: stats, control log and
+    the serialized telemetry stream."""
+    from repro.net.control import controller_from_spec, preset_controller_spec
+    from repro.net.emulator import bandwidth_trace_from_spec, loss_model_from_spec
+    from repro.net.fec import FecConfig
+    from repro.net.transport import (
+        FixedBitrateWorkload,
+        TransportConfig,
+        VideoTransportSession,
+        drive_closed_loop,
+        drive_fixed_bitrate,
+    )
+    from repro.obs import Telemetry
+
+    scenario = sample["scenario"]
+    uplink = PathConfig(
+        loss_model=loss_model_from_spec(scenario.loss_model),
+        bandwidth_trace=bandwidth_trace_from_spec(scenario.bandwidth_trace),
+        seed=sample["path_seed"],
+    )
+    fec = FecConfig(group_size=sample["group_size"])
+    telemetry = Telemetry()
+    source = FixedBitrateWorkload(bitrate_bps=sample["bitrate_bps"])
+    if sample["closed_loop"]:
+        spec = {
+            **preset_controller_spec("gcc"),
+            "estimator": {"kind": "gcc", "initial_rate_bps": sample["bitrate_bps"]},
+            "adapt_fec": True,
+        }
         session = VideoTransportSession(
-            transport_config=TransportConfig(fec=FecConfig(group_size=5))
+            uplink_config=uplink,
+            transport_config=TransportConfig(fec=fec, report_interval_s=0.2),
+            controller=controller_from_spec(spec),
+            telemetry=telemetry,
         )
-        assert session.packet_block_mode and not session.block_mode
+        drive_closed_loop(session, source, duration_s)
+    else:
+        session = VideoTransportSession(
+            uplink_config=uplink, transport_config=TransportConfig(fec=fec), telemetry=telemetry
+        )
+        drive_fixed_bitrate(session, source, duration_s)
+    session.finalize_telemetry()
+    summary = session.stats.summary()
+    stats = (
+        summary.count,
+        summary.delivered,
+        summary.mean_s,
+        summary.p99_s,
+        summary.mean_retransmissions,
+        tuple(sorted(session.fec_summary().items())),
+        session.sender.packets_sent,
+        session.sender.retransmissions_sent,
+        tuple((e.frame_id, e.complete_time) for e in session.receiver.delivered_frames),
+    )
+    return stats, list(session.control_log), telemetry.sim_stream()
+
+
+class TestSampledFecEquivalence:
+    """FEC sessions sampled over the trace corpus, bitrate, group size and
+    fixed vs adaptive-FEC closed loop: the fast path must reproduce the
+    reference path's stats, control log and telemetry bytes exactly."""
+
+    @pytest.mark.parametrize(
+        "sample",
+        FEC_SAMPLES,
+        ids=[
+            f"{s['scenario'].name}-{int(s['bitrate_bps'] / 1000)}k-g{s['group_size']}"
+            f"-{'gcc' if s['closed_loop'] else 'fixed'}"
+            for s in FEC_SAMPLES
+        ],
+    )
+    def test_fastpath_on_off_identical(self, monkeypatch, sample):
         monkeypatch.setenv(FASTPATH_ENV, "0")
-        reference = VideoTransportSession(
-            transport_config=TransportConfig(fec=FecConfig(group_size=5))
-        )
-        assert not reference.packet_block_mode and not reference.block_mode
-
-    def test_protect_burst_matches_protect(self):
-        """Parity built from a sizes array must equal parity built from
-        materialised packets, field for field."""
-        import dataclasses
-
-        from repro.net.fec import FecConfig, FecEncoder
-        from repro.net.packet import Packetizer
-
-        for frame_bytes in (500, 7_001, 28_000):
-            packetizer_a, packetizer_b = Packetizer(), Packetizer()
-            encoder_a = FecEncoder(FecConfig(group_size=5))
-            encoder_b = FecEncoder(FecConfig(group_size=5))
-            packets = packetizer_a.packetize(3, frame_bytes, 0.25)
-            sizes = packetizer_b.packet_sizes(frame_bytes)
-            packetizer_b.allocate_sequences(len(sizes))
-            from_packets = encoder_a.protect(packets, packetizer_a)
-            from_sizes = encoder_b.protect_burst(3, len(sizes), sizes, 0.25)
-            assert len(from_packets) == len(from_sizes) >= 1
-            for a, b in zip(from_packets, from_sizes):
-                for field_ in dataclasses.fields(a):
-                    assert getattr(a, field_.name) == getattr(b, field_.name), field_.name
+        scalar = _run_sampled_fec_session(sample)
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        fast = _run_sampled_fec_session(sample)
+        assert scalar == fast
+        if sample["closed_loop"]:
+            # Not vacuous: reports reached the controller mid-session.
+            assert len(scalar[1]) > 1
