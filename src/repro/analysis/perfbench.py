@@ -1,63 +1,29 @@
-"""Persistent performance benchmark harness for the simulation fast path.
+"""The fast-vs-reference equivalence gate of ``net/``.
 
-The ROADMAP's north star is a reproduction that runs "as fast as the
-hardware allows"; this module makes that measurable.  It times canonical
-workloads twice — once with the vectorized fast path enabled (the default)
-and once in scalar reference mode (``REPRO_NET_FASTPATH=0``: per-packet RNG
-draws and linear-scan trace lookups, the pre-fast-path algorithms) — and
-emits a machine-readable ``BENCH_sweep.json`` so subsequent PRs inherit a
-perf trajectory instead of a blank slate.
+``net/`` runs every simulation on a vectorized fast path (block drop
+sampling, bisect trace lookups, batched block delivery, numpy XOR parity)
+and keeps a scalar reference path behind ``REPRO_NET_FASTPATH=0``: per-packet
+RNG draws, linear-scan trace lookups, per-packet delivery and per-byte XOR.
+:func:`equivalence_report` runs the same seeded inputs through both paths and
+returns one named boolean per observable that must match: drop sequences
+(Bernoulli and Gilbert-Elliott), ``rate_at`` lookups, end-to-end session
+statistics (including jittered and single-packet-frame sessions that stress
+the batched delivery path), FEC parity and recovered bytes, FEC and
+closed-loop session trajectories, and the serialized telemetry stream.
 
-Workloads:
-
-* ``single_session_*`` — one 10 s fixed-bitrate transport session per loss
-  model (clean link, i.i.d. Bernoulli, bursty Gilbert-Elliott; the lossy
-  two carry ≥1.8× gates locking in the batched block-delivery transport),
-  plus ``single_session_dense_trace`` over a 1 ms-granularity bandwidth
-  trace (the resolution of standard cellular trace corpora) with bursty
-  loss (≥2× gate), plus ``single_session_fec`` — an XOR-FEC-protected
-  bursty session on per-packet delivery in both modes (kept for
-  decode-order exactness; only the per-decision fast path differs, so the
-  workload is gated on equivalence, not speedup).
-* ``closed_loop_session`` — a feedback-driven session: receiver reports
-  over the feedback path, a GCC + throughput-ABR controller retuning the
-  sender per report.  Like the FEC session it is gated on equivalence
-  rather than speedup — the gate proves the *control trajectory* (reports
-  delivered, every action, every frame completion) is bit-identical
-  between the scalar and fast paths, including over lossy/jittery
-  feedback channels and with adaptive FEC.
-* ``smoke_sweep`` — an 18-cell ``figure3_latency`` sweep (3 scenarios × 6
-  seeds) through the multiprocessing pool with the cell cache disabled,
-  the workload the ≥4× target is measured on.
-* ``fec_codec`` — XOR-parity encode + payload reconstruction over
-  thousands of payload-carrying frames: per-byte Python XOR (scalar
-  reference) vs reusable ``numpy.uint8`` views (≥3× gate).
-
-Every workload is timed with best-of-3 repeats and the *median* is
-reported (single-shot timings on a 1-CPU host swing with scheduler noise;
-a failed gate must mean a regression).  Before timing anything the harness
-asserts statistical equivalence between the scalar and vectorized paths:
-identical seeds must produce identical drop sequences (Bernoulli and
-Gilbert-Elliott), identical ``rate_at`` lookups, identical end-to-end
-session statistics — including jittered and single-packet-frame sessions
-that stress the batched delivery path, and FEC-protected sessions — and
-identical FEC parity bytes.  A speedup claimed over a baseline that
-computes something different would be meaningless.
+Speed is measured elsewhere: ``benchmarks/e2e`` times whole ops of the
+current code, layer by layer.
 """
 
 from __future__ import annotations
 
-import json
+import copy
 import os
-import platform
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from ..core import wallclock
 from ..net.control import controller_from_spec, preset_controller_spec
 from ..net.emulator import (
     FASTPATH_ENV,
@@ -79,28 +45,6 @@ from ..net.transport import (
 )
 from ..obs import Telemetry
 
-#: Schema identifier stamped into the emitted JSON.  v2 adds per-workload
-#: ``units``/``throughput`` (size-independent work measures for regression
-#: comparison across smoke and full runs) and repeat samples in ``detail``.
-BENCH_SCHEMA = "repro-perfbench-v2"
-
-#: Default output filename, resolved against the CWD (run the harness from
-#: the repo root to refresh the committed snapshot).
-DEFAULT_BENCH_PATH = "BENCH_sweep.json"
-
-#: Acceptance targets (speedup = scalar time / fast time).  The lossy
-#: single-session floors and the 4x sweep floor lock in the batched
-#: transport hot path (block delivery, array bookkeeping, coalesced
-#: timers); the FEC floor locks in numpy XOR parity coding.
-SPEEDUP_TARGETS = {
-    "smoke_sweep": 4.0,
-    "single_session_bernoulli": 1.8,
-    "single_session_gilbert_elliott": 1.8,
-    "single_session_dense_trace": 2.0,
-    "fec_codec": 3.0,
-}
-
-
 @contextmanager
 def fastpath_mode(enabled: bool) -> Iterator[None]:
     """Force the fast path on or off for objects constructed in the block.
@@ -121,7 +65,7 @@ def fastpath_mode(enabled: bool) -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# Canonical workload inputs
+# Seeded runners: each returns what must match across the two paths
 # ---------------------------------------------------------------------------
 
 
@@ -307,69 +251,14 @@ def _run_telemetry_stream(
     return telemetry.sim_stream()
 
 
-def _run_smoke_sweep(results_dir: Path, duration_s: float, processes: Optional[int]) -> int:
-    """The 18-cell benchmark sweep; returns the number of executed cells."""
-    from .sweeps import Scenario, SweepGrid, SweepRunner
-
-    # Every scenario rides the same millisecond-granularity bandwidth trace
-    # (the realistic link model the scenario corpus exists for) under a
-    # different loss process, so each cell exercises the full hot path:
-    # per-packet drop decisions plus per-packet rate lookups.
-    overrides = {"duration_s": duration_s, "height": 160, "width": 288}
-    trace = dense_trace(duration_s)
-    trace_spec = {"times": list(trace.times), "rates_bps": list(trace.rates_bps)}
-    scenarios = (
-        Scenario(
-            name="bench-trace-clean",
-            loss_model={"kind": "bernoulli", "loss_rate": 0.0},
-            bandwidth_trace=trace_spec,
-            overrides=overrides,
-        ),
-        Scenario(
-            name="bench-trace-iid",
-            loss_model={"kind": "bernoulli", "loss_rate": 0.02},
-            bandwidth_trace=trace_spec,
-            overrides=overrides,
-        ),
-        Scenario(
-            name="bench-trace-bursty",
-            loss_model={
-                "kind": "gilbert_elliott",
-                "p_good_to_bad": 0.03,
-                "p_bad_to_good": 0.3,
-                "loss_in_bad": 0.5,
-            },
-            bandwidth_trace=trace_spec,
-            overrides=overrides,
-        ),
-    )
-    grid = SweepGrid(
-        experiments=("figure3_latency",),
-        scenarios=scenarios,
-        seeds=(0, 1, 2, 3, 4, 5),
-    )
-    report = SweepRunner(results_dir=results_dir, processes=processes, use_cache=False).run(grid)
-    if report.failed_cells:
-        # Fault isolation turns runner crashes into instant error records; a
-        # sweep of failures would finish *faster* than a healthy one and make
-        # the speedup gate pass vacuously.  A failed gate must mean a
-        # regression, so a crashing benchmark sweep must abort the harness.
-        raise RuntimeError(
-            f"benchmark sweep had {len(report.failed_cells)} failed cells: "
-            f"{report.failed_cells[0].error}"
-        )
-    return len(report.cells)
-
-
-def _run_fec_codec(frames: int, digest_every: int = 0) -> tuple[int, int, int]:
-    """XOR-FEC encode/decode over payload-carrying packets at scale.
+def _run_fec_codec(frames: int) -> tuple[int, int, tuple[bytes, ...]]:
+    """XOR-FEC encode/decode over payload-carrying packets.
 
     Every frame drops one data packet, so each frame exercises parity
     coding *and* payload reconstruction.  Returns (parity packets,
-    recovered packets, payload checksum) — the checksum folds the parity
-    and recovered bytes of every ``digest_every``-th frame (all frames when
-    1), which the equivalence gate uses to prove the per-byte scalar XOR
-    and the vectorized uint8 XOR produce identical bytes.
+    recovered packets, every parity and recovered payload in order), so the
+    equivalence gate compares the bytes of the per-byte scalar XOR and the
+    vectorized uint8 XOR themselves.
     """
     packetizer = Packetizer()
     encoder = FecEncoder(FecConfig(group_size=5))
@@ -377,8 +266,7 @@ def _run_fec_codec(frames: int, digest_every: int = 0) -> tuple[int, int, int]:
     assembler = FrameAssembler()
     payload_pool = bytes(range(256)) * 120  # > frame size; sliced per packet
     parity_count = 0
-    checksum = 0
-    now = 0.0
+    payloads: list[bytes] = []
     for frame_id in range(frames):
         now = frame_id / 30.0
         packets = packetizer.packetize(frame_id, 28_000, now)
@@ -388,7 +276,6 @@ def _run_fec_codec(frames: int, digest_every: int = 0) -> tuple[int, int, int]:
             position += packet.size_bytes
         parity = encoder.protect(packets, packetizer)
         parity_count += len(parity)
-        digest = digest_every and frame_id % digest_every == 0
         for packet in packets:
             # Deterministically drop one packet per frame so every frame
             # exercises the recovery path.
@@ -397,13 +284,11 @@ def _run_fec_codec(frames: int, digest_every: int = 0) -> tuple[int, int, int]:
             decoder.on_data_packet(packet, assembler)
             assembler.on_packet(packet, now)
         for fec_packet in parity:
-            if digest:
-                checksum = (checksum * 1000003 + hash(fec_packet.payload)) & 0xFFFFFFFF
+            payloads.append(fec_packet.payload)
             for recovered in decoder.on_fec_packet(fec_packet, assembler):
-                if digest:
-                    checksum = (checksum * 1000003 + hash(recovered.payload)) & 0xFFFFFFFF
+                payloads.append(recovered.payload)
                 assembler.on_packet(recovered, now)
-    return parity_count, decoder.recovered_packets, checksum
+    return parity_count, decoder.recovered_packets, tuple(payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +312,8 @@ def _block_drop_sequence(model: LossModel, seed: int, n: int, block: int) -> lis
 def equivalence_report(session_duration_s: float = 2.0) -> dict[str, bool]:
     """Prove the scalar and vectorized paths compute the same thing.
 
-    Returns a dict of named boolean checks; ``run_benchmarks`` refuses to
-    report timings unless every check passes.
+    Returns a dict of named boolean checks, every one of which must be
+    true; ``session_duration_s`` sizes the simulated sessions.
     """
     checks: dict[str, bool] = {}
 
@@ -498,12 +383,12 @@ def equivalence_report(session_duration_s: float = 2.0) -> dict[str, bool]:
             fast = _run_session(session_duration_s, _clone_model(model), None, **kwargs)
         checks[f"session_stats_identical_{label}"] = scalar == fast
 
-    # XOR parity coding: per-byte reference bytes == vectorized uint8 bytes
-    # (parity payloads and recovered payloads both folded into the digest).
+    # XOR parity coding: per-byte reference bytes == vectorized uint8 bytes,
+    # parity payloads and recovered payloads alike.
     with fastpath_mode(False):
-        fec_scalar = _run_fec_codec(40, digest_every=1)
+        fec_scalar = _run_fec_codec(40)
     with fastpath_mode(True):
-        fec_fast = _run_fec_codec(40, digest_every=1)
+        fec_fast = _run_fec_codec(40)
     checks["fec_payload_bytes_identical"] = fec_scalar == fec_fast
 
     # FEC sessions deliver per packet with block drop sampling and bisect
@@ -564,302 +449,4 @@ def equivalence_report(session_duration_s: float = 2.0) -> dict[str, bool]:
 
 
 def _clone_model(model: Optional[LossModel]) -> Optional[LossModel]:
-    import copy
-
     return copy.deepcopy(model)
-
-
-# ---------------------------------------------------------------------------
-# Timing
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BenchTiming:
-    """Before/after timing of one canonical workload.
-
-    ``before_s``/``after_s`` are the medians over the repeat samples (kept
-    in ``detail`` for debuggability); the median filters the scheduler
-    spikes a 1-CPU host produces, so a failed gate means a regression, not
-    noise.  ``units`` is a size-independent work measure (simulated
-    seconds, frames, cells) letting CI compare throughput across smoke and
-    full runs.
-    """
-
-    name: str
-    before_s: float
-    after_s: float
-    units: float = 0.0
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        if self.after_s <= 0.0:
-            return float("inf")
-        return self.before_s / self.after_s
-
-    @property
-    def throughput(self) -> float:
-        """Workload units processed per wall second on the fast path."""
-        if self.after_s <= 0.0 or self.units <= 0.0:
-            return 0.0
-        return self.units / self.after_s
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "before_s": round(self.before_s, 6),
-            "after_s": round(self.after_s, 6),
-            "speedup": round(self.speedup, 3),
-            "units": self.units,
-            "throughput": round(self.throughput, 3),
-            "detail": self.detail,
-        }
-
-
-def _time_workload(fn: Callable[[], Any], repeats: int) -> tuple[float, list[float]]:
-    """Median-of-``repeats`` wall time, plus the raw samples."""
-    samples: list[float] = []
-    for _ in range(max(1, repeats)):
-        started = wallclock.perf_counter()
-        fn()
-        samples.append(wallclock.perf_counter() - started)
-    ordered = sorted(samples)
-    return ordered[len(ordered) // 2], samples
-
-
-def canonical_workloads(
-    smoke: bool = False,
-    processes: Optional[int] = None,
-    results_dir: Optional[str | Path] = None,
-) -> list[dict]:
-    """The harness's canonical workloads, shared by timing and profiling.
-
-    Returns entries of ``{name, workload, units, detail}``; anything added
-    here is picked up by both :func:`run_benchmarks` and
-    :func:`profile_workloads`.
-    """
-    import tempfile
-
-    session_s = 2.0 if smoke else 10.0
-    sweep_session_s = 1.0 if smoke else 10.0
-    fec_frames = 300 if smoke else 2000
-
-    entries: list[dict] = []
-    for name, model in _session_loss_models().items():
-        entries.append(
-            {
-                "name": f"single_session_{name}",
-                "workload": lambda model=model: _run_session(
-                    session_s, _clone_model(model), None
-                ),
-                "units": session_s,
-                "detail": {"duration_s": session_s, "loss_model": name},
-            }
-        )
-    entries.append(
-        {
-            "name": "single_session_dense_trace",
-            "workload": lambda: _run_session(
-                session_s,
-                GilbertElliottLoss(p_good_to_bad=0.02, p_bad_to_good=0.3, loss_in_bad=0.5),
-                dense_trace(session_s),
-            ),
-            "units": session_s,
-            "detail": {
-                "duration_s": session_s,
-                "trace_breakpoints": max(2, int(round(session_s / 0.001))),
-                "loss_model": "gilbert_elliott",
-            },
-        }
-    )
-    entries.append(
-        {
-            "name": "single_session_fec",
-            "workload": lambda: _run_fec_session(session_s),
-            "units": session_s,
-            "detail": {
-                "duration_s": session_s,
-                "loss_model": "gilbert_elliott",
-                "note": "FEC session: per-packet delivery, per-decision fast path",
-            },
-        }
-    )
-    entries.append(
-        {
-            "name": "closed_loop_session",
-            "workload": lambda: _run_closed_loop_session(session_s),
-            "units": session_s,
-            "detail": {
-                "duration_s": session_s,
-                "loss_model": "gilbert_elliott",
-                "note": (
-                    "feedback-driven session (receiver reports + GCC/ABR "
-                    "controller); gated on bit-identical control trajectories, "
-                    "not speedup"
-                ),
-            },
-        }
-    )
-    entries.append(
-        {
-            "name": "fec_codec",
-            "workload": lambda: _run_fec_codec(fec_frames),
-            "units": float(fec_frames),
-            "detail": {"frames": fec_frames, "note": "payload XOR: per-byte vs numpy uint8"},
-        }
-    )
-
-    def sweep_workload() -> None:
-        if results_dir is not None:
-            _run_smoke_sweep(Path(results_dir), sweep_session_s, processes)
-            return
-        with tempfile.TemporaryDirectory(prefix="perfbench-sweep-") as tmp:
-            _run_smoke_sweep(Path(tmp), sweep_session_s, processes)
-
-    entries.append(
-        {
-            "name": "smoke_sweep",
-            "workload": sweep_workload,
-            "units": 18 * sweep_session_s,
-            "detail": {"cells": 18, "duration_s": sweep_session_s},
-        }
-    )
-    return entries
-
-
-def run_benchmarks(
-    smoke: bool = False,
-    repeats: Optional[int] = None,
-    results_dir: Optional[str | Path] = None,
-    processes: Optional[int] = None,
-) -> dict:
-    """Run the full harness and return the ``BENCH_sweep.json`` payload.
-
-    ``smoke`` shrinks every workload (2 s sessions, 1 s sweep cells) so CI
-    can run the harness end-to-end in a few minutes; the committed snapshot
-    comes from a full run.  Raises ``RuntimeError`` if any scalar-vs-
-    vectorized equivalence check fails — timings of non-equivalent paths
-    are not comparable and must never be reported.
-    """
-    # Best-of-3 medians for *every* workload (including the sweep): on a
-    # 1-CPU host single-shot timings swing with scheduler noise, and the
-    # gates must mean regressions.
-    repeats = repeats if repeats is not None else 3
-    session_s = 2.0 if smoke else 10.0
-
-    checks = equivalence_report(session_duration_s=min(session_s, 2.0))
-    if not all(checks.values()):
-        failed = sorted(name for name, ok in checks.items() if not ok)
-        raise RuntimeError(f"scalar/vectorized equivalence failed: {failed}")
-
-    timings = [
-        _before_after(
-            entry["name"],
-            entry["workload"],
-            repeats,
-            units=entry["units"],
-            detail=entry["detail"],
-        )
-        for entry in canonical_workloads(smoke=smoke, processes=processes, results_dir=results_dir)
-    ]
-
-    targets_met = {
-        name: next(t.speedup for t in timings if t.name == name) >= target
-        for name, target in SPEEDUP_TARGETS.items()
-    }
-    return {
-        "schema": BENCH_SCHEMA,
-        "mode": "smoke" if smoke else "full",
-        "generated_unix": wallclock.unix_time(),
-        "host": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-            "numpy": np.__version__,
-        },
-        "equivalence": checks,
-        "benchmarks": [t.to_jsonable() for t in timings],
-        "targets": SPEEDUP_TARGETS,
-        "targets_met": targets_met,
-    }
-
-
-def _before_after(
-    name: str,
-    workload: Callable[[], Any],
-    repeats: int,
-    units: float = 0.0,
-    detail: Optional[dict] = None,
-) -> BenchTiming:
-    with fastpath_mode(False):
-        before, before_samples = _time_workload(workload, repeats)
-    with fastpath_mode(True):
-        after, after_samples = _time_workload(workload, repeats)
-    detail = dict(detail or {})
-    detail["before_samples_s"] = [round(s, 6) for s in before_samples]
-    detail["after_samples_s"] = [round(s, 6) for s in after_samples]
-    return BenchTiming(name=name, before_s=before, after_s=after, units=units, detail=detail)
-
-
-def profile_workloads(
-    smoke: bool = False,
-    processes: Optional[int] = None,
-    top: int = 20,
-    stream: Any = None,
-) -> None:
-    """cProfile every canonical workload on the fast path.
-
-    Prints the top ``top`` functions by cumulative time per workload so the
-    next optimisation pass starts from data rather than guesses.  The sweep
-    profile mostly shows multiprocessing pool wait — its per-cell hot path
-    is what the ``single_session_*`` profiles break down.
-    """
-    import cProfile
-    import pstats
-    import sys
-
-    out = stream if stream is not None else sys.stdout
-    workloads = [
-        (entry["name"], entry["workload"])
-        for entry in canonical_workloads(smoke=smoke, processes=processes)
-    ]
-
-    with fastpath_mode(True):
-        for name, workload in workloads:
-            profiler = cProfile.Profile()
-            profiler.enable()
-            workload()
-            profiler.disable()
-            print(f"\n=== {name}: top {top} functions by cumulative time ===", file=out)
-            pstats.Stats(profiler, stream=out).sort_stats("cumulative").print_stats(top)
-
-
-def write_bench_json(payload: dict, path: str | Path = DEFAULT_BENCH_PATH) -> Path:
-    """Write the payload atomically and return the destination path."""
-    destination = Path(path)
-    tmp = destination.with_suffix(destination.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(destination)
-    return destination
-
-
-def render_table(payload: dict) -> str:
-    """Human-readable summary of a harness payload."""
-    lines = [
-        f"perfbench ({payload['mode']} mode) — speedup = scalar / vectorized",
-        f"{'workload':<30} {'before':>10} {'after':>10} {'speedup':>9}",
-    ]
-    for entry in payload["benchmarks"]:
-        lines.append(
-            f"{entry['name']:<30} {entry['before_s']:>9.3f}s {entry['after_s']:>9.3f}s "
-            f"{entry['speedup']:>8.2f}x"
-        )
-    for name, met in payload.get("targets_met", {}).items():
-        target = payload["targets"][name]
-        status = "met" if met else "NOT MET"
-        lines.append(f"target {name}: >= {target:.1f}x — {status}")
-    equivalence = payload.get("equivalence", {})
-    status = "all passed" if all(equivalence.values()) else "FAILED"
-    lines.append(f"equivalence checks: {status} ({len(equivalence)})")
-    return "\n".join(lines)

@@ -96,13 +96,12 @@ WALLCLOCK_ALLOWLIST = frozenset(
     {
         ("core/wallclock.py", "perf_counter"),
         ("core/wallclock.py", "monotonic"),
-        ("core/wallclock.py", "unix_time"),
     }
 )
 
 #: ``(relpath, function qualname)`` pairs allowed to touch the
 #: ``REPRO_NET_FASTPATH`` environment variable: the single read helper and
-#: the perfbench context manager that toggles it around timed workloads.
+#: the equivalence gate's context manager that toggles it around each run.
 FASTPATH_ALLOWLIST = frozenset(
     {
         ("net/emulator.py", "fastpath_enabled"),

@@ -24,8 +24,8 @@ from .packet import Packet
 
 #: Environment switch for the vectorized fast path.  ``REPRO_NET_FASTPATH=0``
 #: falls back to the scalar per-packet algorithms (one RNG call per decision,
-#: linear-scan trace lookups) — the reference implementation the benchmark
-#: harness times against and the equivalence tests compare with.  The flag is
+#: linear-scan trace lookups) — the reference implementation the equivalence
+#: gate and tests compare with.  The flag is
 #: read at object construction time, so toggling it mid-process only affects
 #: paths/traces built afterwards.
 FASTPATH_ENV = "REPRO_NET_FASTPATH"
@@ -215,7 +215,7 @@ class BandwidthTrace:
     def rate_at_scan(self, time: float) -> float:
         """Reference linear-scan lookup (the pre-fast-path implementation).
 
-        Kept for the scalar benchmark mode and the property tests asserting
+        Kept for the scalar reference mode and the property tests asserting
         that :meth:`rate_at` agrees with it on arbitrary traces.
         """
         rate = self.rates_bps[0]

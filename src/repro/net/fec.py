@@ -27,8 +27,8 @@ def _xor_payloads_scalar(payloads: list[bytes], size: int) -> bytes:
 
     This is the shape of parity coding most textbook implementations start
     from; it allocates a fresh buffer per group and pays a Python-level loop
-    per byte.  Kept as the ``REPRO_NET_FASTPATH=0`` baseline the vectorized
-    path is benchmarked against.
+    per byte.  Kept as the ``REPRO_NET_FASTPATH=0`` reference the vectorized
+    path is checked against.
     """
     out = bytearray(size)
     for payload in payloads:

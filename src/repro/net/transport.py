@@ -940,7 +940,7 @@ class VideoTransportSession:
 
         # Telemetry is strictly opt-in: the default NULL_TELEMETRY hands out
         # no-op instruments, so the increments below cost one method call and
-        # the session's behaviour is unchanged (gated in tests and perfbench).
+        # the session's behaviour is unchanged (gated in tests).
         # Counters are incremented only at points that are bit-identical
         # across the scalar and batched delivery paths; the bulk counters are
         # published from final stats by finalize_telemetry().
@@ -1138,8 +1138,8 @@ class VideoTransportSession:
         read here — sender counters, path counters, per-frame latencies,
         FEC recovery counts — is bit-identical across the scalar and
         batched delivery paths (held by the stats-equivalence gates), so
-        the serialized telemetry stream is bit-identical too; perfbench
-        gates that directly (``telemetry_stream_identical``).
+        the serialized telemetry stream is bit-identical too; the
+        equivalence gate checks that directly (``telemetry_stream_identical``).
         """
         telemetry = self.telemetry
         if not telemetry.enabled or self._telemetry_finalized:

@@ -11,8 +11,7 @@ Two primitives and a bundle:
 - :class:`Telemetry` — the pair, threaded through
   ``VideoTransportSession``, ``SweepRunner`` and the dispatcher.  The
   default everywhere is :data:`NULL_TELEMETRY`, whose no-op instruments
-  make disabled telemetry free enough for hot paths (gated in perfbench)
-  and provably inert: it draws no RNG, reads no clock and changes no
+  make disabled telemetry free enough for hot paths and provably inert: it draws no RNG, reads no clock and changes no
   session stat (gated in tests).
 
 See docs/OBSERVABILITY.md for the vocabulary, span schema and the live
@@ -54,8 +53,8 @@ class Telemetry:
     def sim_stream(self) -> str:
         """The deterministic export: metrics JSONL + sim-clock trace JSONL.
 
-        This is the byte-string the determinism tests and the perfbench
-        telemetry equivalence gate compare across delivery modes and
+        This is the byte-string the determinism tests and the telemetry
+        checks of the fast-vs-reference equivalence gate compare across delivery modes and
         repeated seeded runs (wall spans are excluded by construction).
         """
         return self.metrics.to_jsonl() + "\n---\n" + self.trace.to_jsonl(clock="sim")

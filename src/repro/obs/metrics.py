@@ -5,14 +5,14 @@ draws, no I/O — so instrumenting simulation code with a
 :class:`MetricRegistry` cannot perturb determinism: two seeded runs that
 execute the same events produce byte-identical serialized streams, and the
 scalar and batched delivery paths (which are bit-identical in their
-observable stats) emit bit-identical telemetry.  That property is gated in
-perfbench next to the stats-equivalence checks.
+observable stats) emit bit-identical telemetry.  That property is gated by
+the fast-vs-reference equivalence gate next to the stats checks.
 
 A *disabled* registry (``MetricRegistry(enabled=False)``, or the shared
 :data:`NULL_REGISTRY`) hands out shared no-op instruments, so an
 instrumented hot path costs one attribute load and a no-op call when
 telemetry is off — cheap enough to live inside ``net/`` without moving the
-perfbench throughput gate.
+untraced ``uplink_*`` timings of the end-to-end benchmark.
 
 This module is also the home of the **fleet metric vocabulary**: the
 canonical names shared by the coordinator's live ``status`` stream, the

@@ -6,7 +6,8 @@ part of its identity:
 - ``clock="sim"`` spans take their timestamps from the caller (the event
   loop's ``now``), so they are bit-identical across seeded replays and
   across the scalar/batched delivery paths — the determinism tests and the
-  perfbench telemetry gate compare their serialized form byte-for-byte.
+  equivalence gate's telemetry checks compare their serialized form
+  byte-for-byte.
 - ``clock="wall"`` spans read :mod:`repro.core.wallclock` (the repo's only
   sanctioned wall-clock surface, enforced by reprolint's ``wall-clock``
   rule) and describe fleet work: sweep cells, queue waits, dispatch.

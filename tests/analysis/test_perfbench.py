@@ -1,20 +1,10 @@
-"""Tests for the persistent performance benchmark harness."""
+"""Tests for the fast-vs-reference equivalence gate of ``net/``."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.analysis import perfbench
-from repro.analysis.perfbench import (
-    BenchTiming,
-    dense_trace,
-    equivalence_report,
-    fastpath_mode,
-    render_table,
-    write_bench_json,
-)
+from repro.analysis.perfbench import dense_trace, equivalence_report, fastpath_mode
 from repro.net.emulator import FASTPATH_ENV, fastpath_enabled
 
 
@@ -46,17 +36,42 @@ class TestDenseTrace:
         assert len(dense_trace(0.0001).times) == 2
 
 
-class TestEquivalenceReport:
-    def test_all_checks_pass(self):
-        checks = equivalence_report(session_duration_s=0.5)
-        assert checks, "report must contain named checks"
-        failed = [name for name, ok in checks.items() if not ok]
-        assert not failed
+@pytest.fixture(scope="module")
+def checks():
+    """One equivalence report, shared by the tests that read it."""
+    return equivalence_report(session_duration_s=2.0)
 
-    def test_telemetry_stream_gates_present(self):
-        """PR 10 extends the gates to the telemetry stream, same discipline
-        as the report-parity checks: scalar == fast == repeat, byte-wise."""
-        checks = equivalence_report(session_duration_s=0.5)
+
+class TestEquivalenceReport:
+    #: Every check the gate must run.  Comparing the exact key set makes a
+    #: silently dropped (or renamed) check fail, not just a false one.
+    CHECKS = {
+        "bernoulli_block_equals_scalar",
+        "gilbert_elliott_block_equals_scalar",
+        "rate_at_equals_linear_scan",
+        "session_stats_identical",
+        "session_stats_identical_jittered",
+        "session_stats_identical_single_packet_frames",
+        "fec_payload_bytes_identical",
+        "fec_session_stats_identical",
+        "fec_session_stats_identical_jittered",
+        "fec_session_stats_identical_single_packet",
+        "closed_loop_stats_identical",
+        "closed_loop_stats_identical_jittered",
+        "closed_loop_stats_identical_lossy_feedback",
+        "closed_loop_stats_identical_fec",
+        "telemetry_stream_identical",
+        "telemetry_stream_identical_fec",
+        "telemetry_stream_identical_closed_loop",
+    }
+
+    def test_all_checks_pass(self, checks):
+        assert set(checks) == self.CHECKS
+        assert {name: ok for name, ok in checks.items() if ok is not True} == {}
+
+    def test_telemetry_stream_gates_present(self, checks):
+        """The gates cover the telemetry stream with the same discipline as
+        the report-parity checks: scalar == fast == repeat, byte-wise."""
         for name in (
             "telemetry_stream_identical",
             "telemetry_stream_identical_fec",
@@ -64,65 +79,3 @@ class TestEquivalenceReport:
         ):
             assert name in checks
             assert checks[name] is True
-
-
-class TestBenchTiming:
-    def test_speedup(self):
-        timing = BenchTiming(name="x", before_s=2.0, after_s=0.5)
-        assert timing.speedup == pytest.approx(4.0)
-
-    def test_zero_after_is_infinite(self):
-        assert BenchTiming(name="x", before_s=1.0, after_s=0.0).speedup == float("inf")
-
-    def test_jsonable_rounding(self):
-        payload = BenchTiming(name="x", before_s=1.23456789, after_s=1.0).to_jsonable()
-        assert payload["before_s"] == pytest.approx(1.234568)
-        assert payload["speedup"] == pytest.approx(1.235, abs=1e-3)
-
-    def test_throughput_from_units(self):
-        timing = BenchTiming(name="x", before_s=2.0, after_s=0.5, units=10.0)
-        assert timing.throughput == pytest.approx(20.0)
-        assert BenchTiming(name="x", before_s=1.0, after_s=0.5).throughput == 0.0
-        assert timing.to_jsonable()["throughput"] == pytest.approx(20.0)
-
-
-class TestTimeWorkload:
-    def test_reports_median_and_samples(self):
-        values = iter([0.0, 0.5, 0.5, 0.9, 1.0, 1.1])
-        original = perfbench.wallclock.perf_counter
-        perfbench.wallclock.perf_counter = lambda: next(values)
-        try:
-            median, samples = perfbench._time_workload(lambda: None, repeats=3)
-        finally:
-            perfbench.wallclock.perf_counter = original
-        # Deltas are 0.5, 0.4, 0.1 -> median 0.4, samples in run order.
-        assert median == pytest.approx(0.4)
-        assert samples == pytest.approx([0.5, 0.4, 0.1])
-
-
-class TestPayloadWriting:
-    def _payload(self):
-        return {
-            "schema": perfbench.BENCH_SCHEMA,
-            "mode": "smoke",
-            "equivalence": {"check": True},
-            "benchmarks": [
-                BenchTiming(name="w", before_s=3.0, after_s=1.0).to_jsonable()
-            ],
-            "targets": {"w": 2.0},
-            "targets_met": {"w": True},
-        }
-
-    def test_write_is_atomic_and_parsable(self, tmp_path):
-        destination = tmp_path / "BENCH_sweep.json"
-        written = write_bench_json(self._payload(), destination)
-        assert written == destination
-        data = json.loads(destination.read_text())
-        assert data["schema"] == perfbench.BENCH_SCHEMA
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_render_table_mentions_targets(self):
-        table = render_table(self._payload())
-        assert "w" in table
-        assert "met" in table
-        assert "equivalence checks: all passed" in table

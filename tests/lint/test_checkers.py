@@ -121,9 +121,6 @@ class TestWallClock:
 
             def monotonic() -> float:
                 return _time.monotonic()
-
-            def unix_time() -> int:
-                return int(_time.time())
             '''
         )
         assert rules_of(lint_tree({"core/wallclock.py": source})) == []

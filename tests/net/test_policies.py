@@ -17,6 +17,7 @@ from repro.net.congestion import (
     GoogleCongestionControl,
     RateSample,
 )
+from repro.net.emulator import FASTPATH_ENV
 from repro.net.fec import FecConfig, FecDecoder, FecEncoder, fec_recovery_probability
 from repro.net.packet import FrameAssembler, Packetizer
 from repro.net.jitter_buffer import (
@@ -464,6 +465,62 @@ class TestFecDecoderPendingParity:
             assembler.on_packet(packet, arrival_time=0.01)
         assert decoder.on_fec_packet(parity_packets[0], assembler) == []
         assert decoder.pending_parity_frames == 0
+
+
+@pytest.mark.parametrize("fastpath", ["0", "1"], ids=["reference", "fast"])
+class TestFecPayloadRecovery:
+    """XOR parity restores the bytes that were lost, on both XOR paths.
+
+    A 10-packet frame in two groups of 5; the last packet carries only
+    37 bytes, so its group's parity is zero-padded past it and its recovery
+    must be trimmed back to the true size.
+    """
+
+    GROUP = 5
+
+    def _frame(self, monkeypatch, fastpath):
+        monkeypatch.setenv(FASTPATH_ENV, fastpath)
+        config = FecConfig(group_size=self.GROUP)
+        packetizer = Packetizer(mtu_bytes=100)
+        packets = packetizer.packetize(frame_id=0, frame_bytes=937, capture_time=0.0)
+        assert [p.size_bytes for p in packets] == [100] * 9 + [37]
+        rng = np.random.default_rng(3)
+        for packet in packets:
+            packet.payload = rng.bytes(packet.size_bytes)
+        assert len({p.payload for p in packets}) == len(packets)
+        parity = FecEncoder(config).protect(packets, packetizer)
+        assert len(parity) == 2
+        return packets, parity, FecDecoder(config)
+
+    def _deliver(self, packets, parity, decoder, lost):
+        """Deliver every packet not in ``lost``, then the parity; return
+        the recovered payloads by index."""
+        assembler = FrameAssembler()
+        for packet in packets:
+            if packet.index_in_frame not in lost:
+                decoder.on_data_packet(packet, assembler)
+                assembler.on_packet(packet, arrival_time=0.01)
+        recovered = {}
+        for fec_packet in parity:
+            for packet in decoder.on_fec_packet(fec_packet, assembler):
+                recovered[packet.index_in_frame] = packet.payload
+        return recovered
+
+    @pytest.mark.parametrize("offset", range(GROUP))
+    def test_one_loss_per_group_recovers_original_bytes(self, monkeypatch, fastpath, offset):
+        packets, parity, decoder = self._frame(monkeypatch, fastpath)
+        lost = {offset, self.GROUP + offset}
+        recovered = self._deliver(packets, parity, decoder, lost)
+        assert recovered == {index: packets[index].payload for index in lost}
+        assert decoder.recovered_packets == 2
+
+    def test_two_losses_in_a_group_recover_nothing_there(self, monkeypatch, fastpath):
+        packets, parity, decoder = self._frame(monkeypatch, fastpath)
+        recovered = self._deliver(packets, parity, decoder, lost={1, 3, 9})
+        assert recovered == {9: packets[9].payload}
+        assert len(recovered[9]) == 37
+        assert decoder.recovered_packets == 1
+        assert decoder.has_pending(0)
 
 
 class TestJitterBuffer:
