@@ -108,17 +108,18 @@ class AIVideoChatSession:
         self.baseline = baseline or UniformStreamer(StreamingConfig())
         self.mllm = mllm or SimulatedMLLM()
         self.sampler = sampler or ReceiverSampler()
+        #: One capture source per dialogue: every turn reuses its rendered frames.
+        self.source = scene.to_source()
 
     # -- frame selection -------------------------------------------------------
 
     def _frames_for_turn(self) -> list[VideoFrame]:
         """Frames at the MLLM ingestion rate covering the context window."""
-        source = self.scene.to_source()
         stride = max(1, int(round(self.scene.fps / self.config.mllm_fps)))
         count = max(1, int(round(self.config.window_s * self.config.mllm_fps)))
-        last_index = source.frame_count() - 1
+        last_index = self.source.frame_count() - 1
         indices = [max(0, last_index - stride * offset) for offset in range(count)][::-1]
-        return [source.frame_at(index) for index in dict.fromkeys(indices)]
+        return [self.source.frame_at(index) for index in dict.fromkeys(indices)]
 
     # -- one turn ----------------------------------------------------------------
 

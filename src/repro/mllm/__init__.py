@@ -8,7 +8,7 @@ quality-gated simulated MLLM, the inference latency model, long-term memory,
 and client/cloud model collaboration.
 """
 
-from .clip import ClipConfig, ClipPatchEncoder, ClipTextEncoder, CorrelationMap, MobileClip
+from .clip import ClipConfig, ClipTextEncoder, CorrelationMap, MobileClip
 from .embedding import (
     DEFAULT_CONCEPT_RELATIONS,
     DEFAULT_SYNONYMS,
@@ -59,7 +59,6 @@ from .tokenizer import (
 __all__ = [
     "CollaborationConfig",
     "ClipConfig",
-    "ClipPatchEncoder",
     "ClipTextEncoder",
     "ConceptSpace",
     "ContinuousTokenizer",

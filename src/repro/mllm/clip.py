@@ -11,10 +11,12 @@ deterministic :class:`~repro.mllm.embedding.ConceptSpace`:
 
 * the **text encoder** extracts vocabulary concepts from the user's words
   (plus any explicit query concepts) and averages their vectors;
-* the **patch encoder** averages the concept vectors of the scene objects
-  overlapping the patch, weighted by overlap area and attenuated when the
-  patch's fine detail has been blurred away (mirroring the paper's
-  observation that CLIP "ignores the blurry grass in the distance").
+* the **vision side** (:meth:`MobileClip.correlation_map`) encodes the whole
+  patch grid with array operations: each patch's feature averages the
+  concept vectors of the scene objects overlapping it, weighted by overlap
+  area and attenuated when the patch's fine detail has been blurred away
+  (mirroring the paper's observation that CLIP "ignores the blurry grass in
+  the distance").
 
 The resulting correlation maps have the property every downstream experiment
 needs: patches containing chat-relevant objects score higher than the rest,
@@ -23,13 +25,13 @@ including for indirect queries (season → grass).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..video.quality import high_frequency_retention
-from ..video.scene import Scene, SceneObject
+from ..video.scene import Scene
 from .embedding import ConceptSpace, cosine_similarity
 
 
@@ -132,64 +134,6 @@ class ClipTextEncoder:
         return tuple(concepts)
 
 
-class ClipPatchEncoder:
-    """Vision side of the CLIP substitute.
-
-    Encodes one patch given the scene ground truth (which objects overlap the
-    patch) and the decoded pixels (which determine how much of each object's
-    fine detail is still visible).
-    """
-
-    def __init__(self, space: Optional[ConceptSpace] = None, config: Optional[ClipConfig] = None) -> None:
-        self.space = space or ConceptSpace()
-        self.config = config or ClipConfig()
-
-    @staticmethod
-    def _overlap_fraction(
-        patch_box: tuple[int, int, int, int], object_box: tuple[int, int, int, int]
-    ) -> float:
-        pr0, pr1, pc0, pc1 = patch_box
-        orow0, orow1, ocol0, ocol1 = object_box
-        rows = max(0, min(pr1, orow1) - max(pr0, orow0))
-        cols = max(0, min(pc1, ocol1) - max(pc0, ocol0))
-        patch_area = max(1, (pr1 - pr0) * (pc1 - pc0))
-        return rows * cols / patch_area
-
-    def encode_patch(
-        self,
-        scene: Scene,
-        patch_box: tuple[int, int, int, int],
-        decoded_patch: Optional[np.ndarray] = None,
-        original_patch: Optional[np.ndarray] = None,
-        time_s: float = 0.0,
-    ) -> np.ndarray:
-        """Feature vector for the patch at ``patch_box`` (row0, row1, col0, col1)."""
-        concepts: list[str] = ["background"]
-        weights: list[float] = [self.config.background_weight]
-
-        visibility = 1.0
-        if decoded_patch is not None and original_patch is not None and original_patch.size > 0:
-            visibility = high_frequency_retention(original_patch, decoded_patch)
-
-        for obj in scene.objects:
-            object_box = obj.pixel_region(scene.height, scene.width, time_s)
-            overlap = self._overlap_fraction(patch_box, object_box)
-            if overlap <= 0.0:
-                continue
-            # Fine-detail objects fade from the embedding when their detail is
-            # blurred away; coarse objects stay recognisable.
-            detail_penalty = 1.0
-            if visibility < 1.0:
-                floor = self.config.visibility_floor
-                effective = max(visibility, floor)
-                detail_penalty = effective ** (0.5 + 2.0 * obj.detail_scale)
-            weight = overlap * detail_penalty
-            for concept in obj.concepts:
-                concepts.append(concept)
-                weights.append(weight)
-        return self.space.encode_concepts(concepts, weights)
-
-
 class MobileClip:
     """The full CLIP substitute: correlation maps per Equation (1)."""
 
@@ -197,7 +141,6 @@ class MobileClip:
         self.space = space or ConceptSpace()
         self.config = config or ClipConfig()
         self.text_encoder = ClipTextEncoder(self.space, self.config)
-        self.patch_encoder = ClipPatchEncoder(self.space, self.config)
 
     def correlation_map(
         self,
@@ -208,7 +151,12 @@ class MobileClip:
         extra_concepts: Sequence[str] = (),
         time_s: float = 0.0,
     ) -> CorrelationMap:
-        """Compute the patch-wise semantic correlation ρ of Equation (1)."""
+        """Compute the patch-wise semantic correlation ρ of Equation (1).
+
+        ``frame_pixels`` are the (decoded) pixels CLIP sees and
+        ``original_pixels`` the captured ones; when both are given and
+        differ, blurred fine detail attenuates the objects in each patch.
+        """
         patch = self.config.patch_size
         height, width = scene.height, scene.width
         patches_y = int(np.ceil(height / patch))
@@ -217,25 +165,38 @@ class MobileClip:
         text_feature = self.text_encoder.encode(user_words, extra_concepts)
         query_concepts = self.text_encoder.concepts(user_words, extra_concepts)
 
+        row0 = np.arange(patches_y) * patch
+        row1 = np.minimum(row0 + patch, height)
+        col0 = np.arange(patches_x) * patch
+        col1 = np.minimum(col0 + patch, width)
+        area = np.maximum(1, (row1 - row0)[:, None] * (col1 - col0)[None, :])
+        visibility = self._visibility(
+            frame_pixels, original_pixels, list(zip(row0, row1)), list(zip(col0, col1))
+        )
+
+        # Sum the weighted concept vectors in the per-patch order (background,
+        # then each object's concepts in scene order), so each feature is the
+        # same float sum as one patch encoded alone; an object that misses a
+        # patch adds exact zeros there.
+        features = np.empty((patches_y, patches_x, self.space.dim))
+        features[:] = self.config.background_weight * self.space.vector("background")
+        for obj in scene.objects:
+            orow0, orow1, ocol0, ocol1 = obj.pixel_region(height, width, time_s)
+            rows = np.maximum(0, np.minimum(row1, orow1) - np.maximum(row0, orow0))
+            cols = np.maximum(0, np.minimum(col1, ocol1) - np.maximum(col0, ocol0))
+            weight = rows[:, None] * cols[None, :] / area
+            if visibility is not None:
+                weight = weight * self._detail_penalty(visibility, obj.detail_scale)
+            for concept in obj.concepts:
+                features += weight[:, :, None] * self.space.vector(concept)
+
+        # Norms and dot products stay per patch: a batched norm or matmul may
+        # sum the 64 products in another order and round differently.
         values = np.zeros((patches_y, patches_x))
-        for row in range(patches_y):
-            for col in range(patches_x):
-                row0, row1 = row * patch, min((row + 1) * patch, height)
-                col0, col1 = col * patch, min((col + 1) * patch, width)
-                decoded_patch = None
-                original_patch = None
-                if frame_pixels is not None:
-                    decoded_patch = frame_pixels[row0:row1, col0:col1]
-                if original_pixels is not None:
-                    original_patch = original_pixels[row0:row1, col0:col1]
-                patch_feature = self.patch_encoder.encode_patch(
-                    scene,
-                    (row0, row1, col0, col1),
-                    decoded_patch=decoded_patch,
-                    original_patch=original_patch,
-                    time_s=time_s,
-                )
-                values[row, col] = cosine_similarity(patch_feature, text_feature)
+        for index, feature in enumerate(features.reshape(-1, self.space.dim)):
+            norm = np.linalg.norm(feature)
+            if norm > 1e-12:
+                values.flat[index] = cosine_similarity(feature / norm, text_feature)
 
         latency = (
             self.config.text_encode_cost_ms
@@ -249,3 +210,35 @@ class MobileClip:
             query_concepts=query_concepts,
             compute_latency_ms=latency,
         )
+
+    @staticmethod
+    def _visibility(
+        frame_pixels: Optional[np.ndarray],
+        original_pixels: Optional[np.ndarray],
+        rows: list[tuple[int, int]],
+        cols: list[tuple[int, int]],
+    ) -> Optional[np.ndarray]:
+        """Per-patch detail retention of the frame, or None when nothing was lost.
+
+        Identical pixels retain all detail (``high_frequency_retention(x, x)``
+        is exactly 1.0), so the spectra are only computed for a degraded frame.
+        """
+        if frame_pixels is None or original_pixels is None or np.array_equal(frame_pixels, original_pixels):
+            return None
+        retention = [
+            high_frequency_retention(original_pixels[r0:r1, c0:c1], frame_pixels[r0:r1, c0:c1])
+            for r0, r1 in rows
+            for c0, c1 in cols
+        ]
+        return np.reshape(retention, (len(rows), len(cols)))
+
+    def _detail_penalty(self, visibility: np.ndarray, detail_scale: float) -> np.ndarray:
+        """Fine-detail objects fade when their detail is blurred; coarse ones stay.
+
+        Python's float power, not ``np.power``: a vectorised power may round
+        differently from the scalar one in the last place.
+        """
+        floor = self.config.visibility_floor
+        exponent = 0.5 + 2.0 * detail_scale
+        penalty = [max(v, floor) ** exponent if v < 1.0 else 1.0 for v in visibility.ravel().tolist()]
+        return np.reshape(penalty, visibility.shape)

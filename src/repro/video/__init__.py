@@ -13,6 +13,7 @@ from .codec import (
     BlockCodec,
     CodecConfig,
     EncodedFrame,
+    TransformedFrame,
     average_bitrate_bps,
     encode_video,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "SceneVideoSource",
     "SyntheticNoiseSource",
     "TranscodeResult",
+    "TransformedFrame",
     "VideoFrame",
     "VideoSource",
     "achieved_bitrate_bps",

@@ -89,6 +89,15 @@ class EncodedFrame:
         return float(self.bits_per_block[br0:br1, bc0:bc1].sum())
 
 
+@dataclass(frozen=True)
+class TransformedFrame:
+    """A luma frame's block-DCT coefficients, ready to quantise at any QP."""
+
+    shape: tuple[int, int]
+    padded_shape: tuple[int, int]
+    coefficients: np.ndarray  # (blocks_y, blocks_x, block, block), read-only
+
+
 def _pad_to_blocks(pixels: np.ndarray, block: int) -> np.ndarray:
     height, width = pixels.shape
     pad_h = (-height) % block
@@ -141,28 +150,31 @@ class BlockCodec:
 
     # -- encode / decode ----------------------------------------------------
 
+    def transform(self, pixels: np.ndarray) -> TransformedFrame:
+        """Block-DCT a luma array once, so several QPs can quantise it."""
+        pixels = np.asarray(pixels, dtype=np.float64)
+        if pixels.ndim != 2:
+            raise ValueError(f"expected a 2-D luma array, got shape {pixels.shape}")
+        padded = _pad_to_blocks(pixels, self.config.block_size)
+        coefficients = dctn(_to_blocks(padded, self.config.block_size), axes=(2, 3), norm="ortho")
+        coefficients.flags.writeable = False
+        return TransformedFrame(shape=pixels.shape, padded_shape=padded.shape, coefficients=coefficients)
+
     def encode(
         self,
-        pixels: np.ndarray,
+        pixels: Union[np.ndarray, TransformedFrame],
         qp: Union[int, float, np.ndarray] = 30,
         frame_id: int = 0,
         timestamp: float = 0.0,
         is_keyframe: bool = True,
     ) -> EncodedFrame:
-        """Encode a luma array with a scalar QP or a per-block QP map."""
-        pixels = np.asarray(pixels, dtype=np.float64)
-        if pixels.ndim != 2:
-            raise ValueError(f"expected a 2-D luma array, got shape {pixels.shape}")
-        height, width = pixels.shape
-        block = self.config.block_size
+        """Encode a luma array (or its transform) with a scalar QP or a per-block QP map."""
+        frame = pixels if isinstance(pixels, TransformedFrame) else self.transform(pixels)
+        height, width = frame.shape
         qp_map = self._expand_qp_map(qp, height, width)
 
-        padded = _pad_to_blocks(pixels, block)
-        blocks = _to_blocks(padded, block)
-        coefficients = dctn(blocks, axes=(2, 3), norm="ortho")
-
         steps = self.config.quantisation_step(qp_map)[:, :, None, None]
-        quantised = np.round(coefficients / steps).astype(np.int32)
+        quantised = np.round(frame.coefficients / steps).astype(np.int32)
 
         bits_per_block = self._estimate_bits(quantised)
         total_bits = float(bits_per_block.sum()) + self.config.frame_header_bits
@@ -171,8 +183,8 @@ class BlockCodec:
             frame_id=frame_id,
             timestamp=timestamp,
             shape=(height, width),
-            padded_shape=padded.shape,
-            block_size=block,
+            padded_shape=frame.padded_shape,
+            block_size=self.config.block_size,
             qp_map=qp_map,
             quantised=quantised,
             bits_per_block=bits_per_block,

@@ -67,13 +67,14 @@ def encode_at_target_bitrate(
     low_offset = float(MIN_QP - base.max())
     high_offset = float(MAX_QP - base.min())
 
+    frame = codec.transform(pixels)  # every trial quantises the same coefficients
     best: Optional[tuple[float, EncodedFrame, float]] = None
     iterations = 0
     offset = 0.0
     for iterations in range(1, max_iterations + 1):
         offset = (low_offset + high_offset) / 2.0
         encoded = codec.encode(
-            pixels,
+            frame,
             _clamped_qp(base_qp_map, offset),
             frame_id=frame_id,
             timestamp=timestamp,

@@ -218,7 +218,9 @@ class SceneVideoSource(VideoSource):
 
     def frame_at(self, index: int) -> VideoFrame:
         if index not in self._cache:
-            self._cache[index] = self.scene.render(index)
+            pixels = self.scene.render(index)
+            pixels.flags.writeable = False  # shared by every frame_at(index)
+            self._cache[index] = pixels
         return VideoFrame(
             frame_id=index,
             timestamp=index / self.fps,

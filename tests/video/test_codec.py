@@ -1,15 +1,20 @@
 """Tests for the block codec, rate control, GOP structure, quality and transcoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.video import (
+    MAX_QP,
+    MIN_QP,
     BlockCodec,
     CodecConfig,
     GopConfig,
     GopDecoder,
     GopEncoder,
+    TransformedFrame,
     average_bitrate_bps,
     encode_video,
     high_frequency_retention,
@@ -170,6 +175,78 @@ class TestRateControl:
             encode_at_target_bitrate(codec, scene_frame, 0, fps=2.0)
         with pytest.raises(ValueError):
             encode_at_target_bitrate(codec, scene_frame, 100_000, fps=0)
+
+
+def assert_same_encoding(first, second):
+    """Every :class:`EncodedFrame` field is equal, arrays bit for bit and dtype too."""
+    for item in dataclasses.fields(first):
+        a, b = getattr(first, item.name), getattr(second, item.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), item.name
+        else:
+            assert a == b, item.name
+
+
+class TestTransformOnce:
+    """``encode(transform(x), qp)`` is ``encode(x, qp)``; rate control relies on it."""
+
+    @pytest.fixture(scope="class")
+    def ragged_frame(self):
+        # 100x150 is not a multiple of the 16-pixel block: edge padding runs.
+        return make_sports_scene(0, height=100, width=150).render(0)
+
+    def test_transform_keeps_shapes(self, codec, ragged_frame):
+        frame = codec.transform(ragged_frame)
+        assert isinstance(frame, TransformedFrame)
+        assert frame.shape == (100, 150)
+        assert frame.padded_shape == (112, 160)
+        assert frame.coefficients.shape == (7, 10, 16, 16)
+
+    def test_scalar_qp_matches_pixel_path(self, codec, ragged_frame):
+        frame = codec.transform(ragged_frame)
+        for qp in (0, 22, 37.5, 51):
+            assert_same_encoding(
+                codec.encode(frame, qp, frame_id=3, timestamp=0.5, is_keyframe=False),
+                codec.encode(ragged_frame, qp, frame_id=3, timestamp=0.5, is_keyframe=False),
+            )
+
+    def test_qp_map_matches_pixel_path(self, codec, ragged_frame):
+        rng = np.random.default_rng(4)
+        qp_map = rng.uniform(MIN_QP, MAX_QP, size=codec.block_grid_shape(*ragged_frame.shape))
+        assert_same_encoding(
+            codec.encode(codec.transform(ragged_frame), qp_map),
+            codec.encode(ragged_frame, qp_map),
+        )
+
+    def test_out_of_range_qp_raises_on_both_paths(self, codec, ragged_frame):
+        grid = codec.block_grid_shape(*ragged_frame.shape)
+        bad_map = np.full(grid, 30.0)
+        bad_map[2, 3] = MAX_QP + 1
+        for source in (ragged_frame, codec.transform(ragged_frame)):
+            for qp in (MIN_QP - 1, MAX_QP + 1, bad_map):
+                with pytest.raises(ValueError):
+                    codec.encode(source, qp)
+
+    def test_coefficients_are_read_only(self, codec, ragged_frame):
+        frame = codec.transform(ragged_frame)
+        with pytest.raises(ValueError):
+            frame.coefficients[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("base", ["scalar", "map"])
+    def test_rate_control_choice_is_a_direct_encode(self, codec, ragged_frame, base):
+        grid = codec.block_grid_shape(*ragged_frame.shape)
+        base_qp = 30.0 if base == "scalar" else np.linspace(18.0, 46.0, grid[0] * grid[1]).reshape(grid)
+        result = encode_at_target_bitrate(
+            codec, ragged_frame, 150_000, fps=2.0, base_qp_map=base_qp, frame_id=5, timestamp=2.5
+        )
+        assert result.iterations > 1  # the search quantised the transform more than once
+        direct = codec.encode(
+            ragged_frame,
+            np.clip(np.asarray(base_qp) + result.qp_offset, MIN_QP, MAX_QP),
+            frame_id=5,
+            timestamp=2.5,
+        )
+        assert_same_encoding(result.encoded, direct)
 
 
 class TestGop:
