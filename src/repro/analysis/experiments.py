@@ -20,7 +20,7 @@ import numpy as np
 from ..core.context_aware import ContextAwareStreamer, StreamingConfig, UniformStreamer
 from ..core.pipeline import AIVideoChatSession, ChatSessionConfig
 from ..core.proactive import HybridProactivePolicy, SaliencyProactivePolicy
-from ..core.qp_map import QpMapConfig, correlation_to_qp, qp_map_statistics
+from ..core.qp_map import qp_map_statistics
 from ..core.semantic_layers import SemanticLayeredEncoder
 from ..core.token_pruning import ContextAwareTokenPruner, PruningConfig
 from ..devibench.dataset import DeViBench
@@ -28,7 +28,7 @@ from ..devibench.evaluate import BenchmarkEvaluator, coarse_qa_breakage_rate
 from ..devibench.pipeline import PipelineReport, build_benchmark
 from ..devibench.videos import VideoCollection
 from ..mllm.clip import MobileClip
-from ..mllm.model import MODE_FREE_RESPONSE, MODE_MULTIPLE_CHOICE, SimulatedMLLM
+from ..mllm.model import MODE_MULTIPLE_CHOICE, SimulatedMLLM
 from ..mllm.sampler import ReceiverSampler, SamplerConfig, perceived_throughput_bps, sender_throughput_bps
 from ..mllm.tokenizer import (
     DiscreteTokenizer,
@@ -57,11 +57,10 @@ from ..net.transport import (
     drive_closed_loop,
     run_fixed_bitrate_session,
 )
-from ..video.codec import BlockCodec
 from ..video.frames import VideoFrame
 from ..video.quality import region_quality
 from ..video.scene import Scene, make_park_scene, make_sports_scene
-from .latency import BudgetScenario, budget_for_scenario, default_budget_scenarios, headline_subtraction
+from .latency import budget_for_scenario, default_budget_scenarios, headline_subtraction
 from .registry import experiment
 
 
@@ -719,60 +718,6 @@ def run_closed_loop_session(
         "delivered_rate_bps": delivered_bits / duration_s,
         "action_digest": hashlib.sha256(json.dumps(actions).encode()).hexdigest(),
     }
-
-
-#: Controller presets spanning the closed-loop study: GCC vs AIMD estimators
-#: crossed with throughput / buffer / AI-oriented ABR, plus the open-loop
-#: fixed-bitrate baseline.
-CLOSED_LOOP_CONTROLLERS: tuple[str, ...] = (
-    "gcc",
-    "aimd",
-    "fixed",
-    "gcc-buffer",
-    "aimd-buffer",
-    "gcc-ai",
-    "aimd-ai",
-)
-
-
-def closed_loop_grid(
-    seed: int = 0,
-    families: Optional[Sequence[str]] = None,
-    controllers: Sequence[str] = CLOSED_LOOP_CONTROLLERS,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 8.0,
-):
-    """The GCC-vs-AIMD-vs-fixed × ABR closed-loop grid over the corpus.
-
-    Every scenario of the nine-family corpus (or a ``families`` subset) is
-    crossed with each named controller preset; the controller spec rides in
-    ``Scenario.overrides`` so it reaches the runner as a plain keyword
-    argument and is covered by the content-hash cell cache key.  Results
-    aggregate through the existing report tables like any other sweep.
-    """
-    from ..net.traces import corpus
-    from .sweeps import Scenario, SweepGrid
-
-    scenarios = []
-    for scenario in corpus(seed=seed, families=families):
-        for name in controllers:
-            scenarios.append(
-                Scenario(
-                    name=f"{scenario.name}+{name}",
-                    loss_model=scenario.loss_model,
-                    bandwidth_trace=scenario.bandwidth_trace,
-                    overrides={
-                        **scenario.overrides,
-                        "controller": preset_controller_spec(name),
-                        "duration_s": duration_s,
-                    },
-                )
-            )
-    return SweepGrid(
-        experiments=("closed_loop_session",),
-        scenarios=tuple(scenarios),
-        seeds=tuple(seeds),
-    )
 
 
 # ---------------------------------------------------------------------------

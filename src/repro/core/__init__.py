@@ -6,7 +6,6 @@ Chat pipeline, and the Section 4 extensions (proactive context awareness,
 semantic layered streaming, and context-aware token pruning).
 """
 
-from .config import AiVideoChatConfig
 from .context_aware import (
     ContextAwareStreamer,
     EncodeOutcome,
@@ -25,7 +24,6 @@ from .qp_map import (
     PAPER_GAMMA,
     QpMapConfig,
     correlation_to_qp,
-    qp_map_for_block_grid,
     qp_map_statistics,
     qp_to_expected_correlation,
     uniform_qp_map,
@@ -40,7 +38,6 @@ from .token_pruning import ContextAwareTokenPruner, PruningConfig, PruningResult
 
 __all__ = [
     "AIVideoChatSession",
-    "AiVideoChatConfig",
     "ChatSessionConfig",
     "ChatTurnResult",
     "ContextAwareStreamer",
@@ -63,7 +60,6 @@ __all__ = [
     "StreamingConfig",
     "UniformStreamer",
     "correlation_to_qp",
-    "qp_map_for_block_grid",
     "qp_map_statistics",
     "qp_to_expected_correlation",
     "uniform_qp_map",

@@ -76,29 +76,3 @@ class PatchGrid:
             )
         row0, row1, col0, col1 = patch.pixel_region
         return pixels[row0:row1, col0:col1]
-
-    def patches_overlapping(self, pixel_region: tuple[int, int, int, int]) -> list[Patch]:
-        """All patches intersecting a pixel region."""
-        row0, row1, col0, col1 = pixel_region
-        if row1 <= row0 or col1 <= col0:
-            raise ValueError(f"empty region {pixel_region}")
-        first_row = max(0, row0 // self.patch_size)
-        last_row = min(self.rows, int(np.ceil(row1 / self.patch_size)))
-        first_col = max(0, col0 // self.patch_size)
-        last_col = min(self.cols, int(np.ceil(col1 / self.patch_size)))
-        return [
-            self.patch(row, col)
-            for row in range(first_row, last_row)
-            for col in range(first_col, last_col)
-        ]
-
-    def value_map_to_pixels(self, values: np.ndarray) -> np.ndarray:
-        """Upsample a per-patch value map to pixel resolution (for visualisation)."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.shape:
-            raise ValueError(f"value map shape {values.shape} does not match grid {self.shape}")
-        pixel_map = np.zeros((self.height, self.width))
-        for patch in self:
-            row0, row1, col0, col1 = patch.pixel_region
-            pixel_map[row0:row1, col0:col1] = values[patch.row, patch.col]
-        return pixel_map

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,13 +55,6 @@ class QASample:
     @property
     def correct_option(self) -> str:
         return self.options[self.letter_index(self.correct_letter)]
-
-    def option_letter_for(self, answer_text: str) -> Optional[str]:
-        """The letter of the option matching an answer text, if any."""
-        for letter, option in zip(OPTION_LETTERS, self.options):
-            if option == answer_text:
-                return letter
-        return None
 
     def is_correct(self, answer: str) -> bool:
         """Grade an answer given either as a letter or as the option text."""

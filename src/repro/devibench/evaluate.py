@@ -12,12 +12,12 @@ the benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..core.context_aware import ContextAwareStreamer, StreamingConfig, UniformStreamer
-from ..mllm.model import MODE_FREE_RESPONSE, MODE_MULTIPLE_CHOICE, SimulatedMLLM
+from ..mllm.model import MODE_MULTIPLE_CHOICE, SimulatedMLLM
 from ..video.frames import VideoFrame
 from ..video.scene import Scene
 from .dataset import DeViBench, QASample
@@ -45,10 +45,6 @@ class EvaluationResult:
     accuracy: float
     mean_achieved_bitrate_bps: float
     evaluations: list[SampleEvaluation] = field(default_factory=list)
-
-    @property
-    def sample_count(self) -> int:
-        return len(self.evaluations)
 
 
 class BenchmarkEvaluator:
@@ -152,6 +148,8 @@ class BenchmarkEvaluator:
         """Accuracy of the whole benchmark at one bitrate / method."""
         samples = self.benchmark.samples
         if max_samples is not None:
+            if max_samples < 1:
+                raise ValueError(f"max_samples must be >= 1, got {max_samples}")
             samples = samples[:max_samples]
         evaluations = [
             self.evaluate_sample(sample, target_bitrate_bps, context_aware) for sample in samples
@@ -165,18 +163,6 @@ class BenchmarkEvaluator:
             mean_achieved_bitrate_bps=float(np.mean([e.achieved_bitrate_bps for e in evaluations])),
             evaluations=evaluations,
         )
-
-    def accuracy_bitrate_curve(
-        self,
-        target_bitrates_bps: Sequence[float],
-        context_aware: bool,
-        max_samples: Optional[int] = None,
-    ) -> list[EvaluationResult]:
-        """Accuracy at each target bitrate — one series of Figure 9."""
-        return [
-            self.evaluate(bitrate, context_aware, max_samples=max_samples)
-            for bitrate in target_bitrates_bps
-        ]
 
 
 def coarse_qa_breakage_rate(

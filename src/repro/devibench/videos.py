@@ -9,15 +9,13 @@ corpus, and preprocessing runs the block-codec transcoder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ..video.codec import BlockCodec
 from ..video.frames import VideoFrame
 from ..video.scene import Scene, build_scene_corpus
-from ..video.transcode import TranscodeResult, concatenate_side_by_side, transcode_to_bitrate
+from ..video.transcode import TranscodeResult, transcode_to_bitrate
 
 #: Bitrate of the degraded rendition used throughout Section 3.1.
 DEFAULT_LOW_BITRATE_BPS = 200_000.0
@@ -38,13 +36,6 @@ class PreparedVideo:
     @property
     def frame_count(self) -> int:
         return len(self.original_frames)
-
-    def concatenated_frames(self) -> list[np.ndarray]:
-        """Original|degraded side-by-side frames (the generation-prompt input)."""
-        return [
-            concatenate_side_by_side(orig.pixels, deg.pixels)
-            for orig, deg in zip(self.original_frames, self.degraded_frames)
-        ]
 
 
 class VideoCollection:

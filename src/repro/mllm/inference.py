@@ -10,8 +10,7 @@ counts into inference time and to compute the remaining transmission budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 #: Response latency above which users perceive the peer as "not a real person".
 DEFAULT_RESPONSE_BUDGET_MS = 300.0
@@ -58,14 +57,6 @@ class InferenceConfig:
         return (
             self.prefill_latency_ms(visual_tokens, input_tokens)
             + self.first_chunk_output_tokens * self.per_output_token_ms
-        )
-
-    def full_response_latency_ms(
-        self, visual_tokens: int, output_tokens: int, input_tokens: int = 32
-    ) -> float:
-        return (
-            self.prefill_latency_ms(visual_tokens, input_tokens)
-            + output_tokens * self.per_output_token_ms
         )
 
 

@@ -27,7 +27,7 @@ question, so experiments are exactly reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -238,28 +238,3 @@ class SimulatedMLLM:
             visual_tokens=visual_tokens,
             inference_latency_ms=latency,
         )
-
-    def answer_multiple_choice(self, *args, **kwargs) -> MllmAnswer:
-        kwargs["mode"] = MODE_MULTIPLE_CHOICE
-        return self.answer_question(*args, **kwargs)
-
-    def answer_free_response(self, *args, **kwargs) -> MllmAnswer:
-        kwargs["mode"] = MODE_FREE_RESPONSE
-        return self.answer_question(*args, **kwargs)
-
-    def accuracy_over(
-        self,
-        facts: Sequence[SceneFact],
-        scene: Scene,
-        decoded_frames: Sequence[VideoFrame],
-        original_frames: Sequence[VideoFrame],
-        mode: str = MODE_MULTIPLE_CHOICE,
-    ) -> float:
-        """Fraction of the given facts answered correctly on this decoded video."""
-        if not facts:
-            raise ValueError("facts must not be empty")
-        answers = [
-            self.answer_question(fact, scene, decoded_frames, original_frames, mode=mode)
-            for fact in facts
-        ]
-        return float(np.mean([answer.correct for answer in answers]))

@@ -9,8 +9,8 @@ the redundancy plotted in Figure 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,13 +110,6 @@ class ReceiverSampler:
         """Number of visual tokens one prepared frame contributes."""
         prepared = self.prepare_frame(frame)
         return max(1, int(np.ceil(prepared.pixel_count / self.config.vision_patch_pixels)))
-
-    def tokens_for(self, frames: Sequence[VideoFrame]) -> int:
-        prepared, _ = self.prepare(frames)
-        return sum(
-            max(1, int(np.ceil(frame.pixel_count / self.config.vision_patch_pixels)))
-            for frame in prepared
-        )
 
 
 def perceived_throughput_bps(

@@ -12,7 +12,7 @@ builds on top of these estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -157,50 +157,3 @@ class AimdController(BandwidthEstimator):
             self._rate += cfg.additive_increase_bps
         self._rate = float(np.clip(self._rate, cfg.min_rate_bps, cfg.max_rate_bps))
         return self._rate
-
-
-@dataclass(slots=True)
-class FeedbackAggregator:
-    """Builds :class:`RateSample` reports from receiver-side observations.
-
-    In WebRTC this is the role of RTCP receiver reports / transport-wide
-    feedback: the receiver periodically summarises how much it received, how
-    much was lost, and the observed one-way delay.
-    """
-
-    interval_s: float = 0.2
-    _window_start: float = 0.0
-    _bytes: int = 0
-    _expected_packets: int = 0
-    _received_packets: int = 0
-    _delays: list[float] = field(default_factory=list)
-
-    def on_packet(self, arrival_time: float, send_time: float, size_bytes: int) -> None:
-        self._bytes += size_bytes
-        self._received_packets += 1
-        self._delays.append(max(0.0, arrival_time - send_time))
-
-    def on_expected(self, count: int = 1) -> None:
-        self._expected_packets += count
-
-    def maybe_report(self, now: float) -> Optional[RateSample]:
-        """Emit a sample once per ``interval_s``; returns None otherwise."""
-        if now - self._window_start < self.interval_s:
-            return None
-        duration = max(now - self._window_start, 1e-6)
-        receive_rate = self._bytes * 8.0 / duration
-        expected = max(self._expected_packets, self._received_packets)
-        loss_ratio = 0.0 if expected == 0 else 1.0 - self._received_packets / expected
-        delay = float(np.mean(self._delays)) if self._delays else 0.0
-        sample = RateSample(
-            timestamp=now,
-            receive_rate_bps=receive_rate,
-            loss_ratio=float(np.clip(loss_ratio, 0.0, 1.0)),
-            one_way_delay_s=delay,
-        )
-        self._window_start = now
-        self._bytes = 0
-        self._expected_packets = 0
-        self._received_packets = 0
-        self._delays = []
-        return sample

@@ -515,8 +515,8 @@ class EmulatedPath:
 
         The scalar path schedules one dequeue event per packet; in block
         mode the same releases happen lazily at the points where queue
-        occupancy is actually read (sends and the ``queued_bytes`` property),
-        which are exactly the instants whose observations matter.
+        occupancy is actually read (sends), which are exactly the instants
+        whose observations matter.
         """
         pending = self._pending_dequeue
         while pending:
@@ -538,12 +538,6 @@ class EmulatedPath:
             self._queue_bytes -= int(cum_bytes[idx] - cum_bytes[pos])
             entry[2] = idx
             return
-
-    @property
-    def queued_bytes(self) -> int:
-        if self._lazy_dequeue:
-            self._drain_queue(self.loop.now)
-        return self._queue_bytes
 
     def queueing_delay(self) -> float:
         """Current queueing delay a newly arriving packet would observe."""
@@ -753,24 +747,3 @@ class EmulatedPath:
             )
 
         self.loop.schedule_at(event_time, _arrive_run)
-
-
-class SymmetricPathPair:
-    """An uplink/downlink pair sharing an event loop.
-
-    The paper notes that AI Video Chat is asymmetric: video flows uplink only
-    while the MLLM reply (audio or text tokens) flows downlink at a much
-    lower rate.  The pair lets the transport model both directions, including
-    the feedback channel used for NACKs.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        uplink_config: PathConfig,
-        downlink_config: PathConfig,
-        deliver_uplink: Callable[[Packet, float], None],
-        deliver_downlink: Callable[[Packet, float], None],
-    ) -> None:
-        self.uplink = EmulatedPath(loop, uplink_config, deliver_uplink)
-        self.downlink = EmulatedPath(loop, downlink_config, deliver_downlink)

@@ -85,10 +85,6 @@ class FecConfig:
         if self.group_size < 1:
             raise ValueError("group_size must be at least 1")
 
-    @property
-    def overhead_ratio(self) -> float:
-        return 1.0 / self.group_size
-
 
 class FecEncoder:
     """Produces parity packets for each frame's packet groups.
@@ -428,28 +424,3 @@ class FecDecoder:
         else:
             self._pending_parity.pop(frame_id, None)
         return recovered
-
-
-def fec_recovery_probability(packet_count: int, loss_rate: float, group_size: int) -> float:
-    """Analytic probability that a frame is decodable in one shot with XOR FEC.
-
-    A frame of ``packet_count`` packets split into groups of ``group_size``
-    (each with one parity packet) is decodable if every group loses at most
-    one of its ``k + 1`` packets.  Used to sanity-check the simulator and to
-    size redundancy in the traditional-RTC baseline.
-    """
-    if not 0.0 <= loss_rate < 1.0:
-        raise ValueError("loss_rate must be in [0, 1)")
-    if packet_count <= 0:
-        return 1.0
-    probability = 1.0
-    remaining = packet_count
-    while remaining > 0:
-        k = min(group_size, remaining)
-        n = k + 1
-        p_ok = (1 - loss_rate) ** n + n * loss_rate * (1 - loss_rate) ** (n - 1)
-        # Floating-point rounding can push the binomial sum marginally above
-        # 1.0 for tiny loss rates; the true probability is bounded by 1.
-        probability *= min(max(p_ok, 0.0), 1.0)
-        remaining -= k
-    return probability

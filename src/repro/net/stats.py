@@ -8,7 +8,7 @@ per-frame records and summarises them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -70,10 +70,6 @@ class LatencySummary:
     @property
     def p95_ms(self) -> float:
         return self.p95_s * 1000.0
-
-    @property
-    def p99_ms(self) -> float:
-        return self.p99_s * 1000.0
 
 
 class TransportStats:

@@ -341,16 +341,6 @@ class VideoSender:
         for frame_id, count in retransmitted_by_frame.items():
             self.stats.record_retransmission(frame_id, count)
 
-    def forget_frame(self, frame_id: int) -> None:
-        """Drop retransmission state for a frame (e.g. once it is obsolete)."""
-        forgotten = self._ledger.pop(frame_id, None)
-        if forgotten is not None and self._lookup_memo is forgotten:
-            self._lookup_memo = None
-        packets = self._sent_packets.pop(frame_id, None)
-        if packets:
-            for packet in packets.values():
-                self._packet_by_sequence.pop(packet.sequence, None)
-
 
 class VideoReceiver:
     """Receiver half of the transport: reassembles frames and issues NACKs."""

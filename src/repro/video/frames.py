@@ -10,7 +10,7 @@ keeps the pure-Python codec fast enough for exhaustive testing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -106,41 +106,6 @@ class ArrayVideoSource(VideoSource):
             timestamp=self._start_time + index / self.fps,
             pixels=self._frames[index],
         )
-
-
-class SyntheticNoiseSource(VideoSource):
-    """A reproducible noise/gradient source used in transport-only tests."""
-
-    def __init__(
-        self,
-        height: int = 180,
-        width: int = 320,
-        fps: float = 30.0,
-        frame_total: int = 300,
-        seed: int = 0,
-    ) -> None:
-        if height <= 0 or width <= 0:
-            raise ValueError("height and width must be positive")
-        self.height = int(height)
-        self.width = int(width)
-        self.fps = float(fps)
-        self._frame_total = int(frame_total)
-        self._seed = seed
-        base_rng = np.random.default_rng(seed)
-        yy, xx = np.mgrid[0:height, 0:width]
-        self._gradient = 64 + 96 * (xx / max(width - 1, 1)) + 32 * (yy / max(height - 1, 1))
-        self._texture = base_rng.normal(0, 12.0, size=(height, width))
-
-    def frame_count(self) -> int:
-        return self._frame_total
-
-    def frame_at(self, index: int) -> VideoFrame:
-        if not 0 <= index < self._frame_total:
-            raise IndexError(f"frame index {index} out of range")
-        rng = np.random.default_rng(self._seed + index + 1)
-        drift = rng.normal(0, 2.0, size=(self.height, self.width))
-        pixels = np.clip(self._gradient + self._texture + drift, 0, 255)
-        return VideoFrame(frame_id=index, timestamp=index / self.fps, pixels=pixels)
 
 
 def downsample_frame(frame: VideoFrame, max_pixels: int) -> VideoFrame:

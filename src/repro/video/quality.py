@@ -9,7 +9,6 @@ the attribute's region is good enough for its detail level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,53 +30,6 @@ def psnr(original: np.ndarray, degraded: np.ndarray) -> float:
     if error <= 1e-12:
         return float("inf")
     return float(10.0 * np.log10(MAX_PIXEL**2 / error))
-
-
-def region_psnr(
-    original: np.ndarray,
-    degraded: np.ndarray,
-    region: tuple[int, int, int, int],
-) -> float:
-    """PSNR restricted to a pixel region ``(row0, row1, col0, col1)``."""
-    row0, row1, col0, col1 = region
-    if row1 <= row0 or col1 <= col0:
-        raise ValueError(f"empty region {region}")
-    return psnr(original[row0:row1, col0:col1], degraded[row0:row1, col0:col1])
-
-
-def ssim(original: np.ndarray, degraded: np.ndarray, window: int = 8) -> float:
-    """A windowed structural-similarity index (simplified SSIM).
-
-    Computed over non-overlapping ``window`` × ``window`` tiles with the
-    standard SSIM constants; sufficient to rank degradations, which is all
-    the traditional-QoE baseline needs.
-    """
-    original = np.asarray(original, dtype=np.float64)
-    degraded = np.asarray(degraded, dtype=np.float64)
-    if original.shape != degraded.shape:
-        raise ValueError(f"shape mismatch: {original.shape} vs {degraded.shape}")
-    height, width = original.shape
-    height -= height % window
-    width -= width % window
-    if height == 0 or width == 0:
-        raise ValueError("frame smaller than the SSIM window")
-
-    def tiles(array: np.ndarray) -> np.ndarray:
-        trimmed = array[:height, :width]
-        return trimmed.reshape(height // window, window, width // window, window).transpose(0, 2, 1, 3)
-
-    x = tiles(original)
-    y = tiles(degraded)
-    c1 = (0.01 * MAX_PIXEL) ** 2
-    c2 = (0.03 * MAX_PIXEL) ** 2
-    mu_x = x.mean(axis=(2, 3))
-    mu_y = y.mean(axis=(2, 3))
-    var_x = x.var(axis=(2, 3))
-    var_y = y.var(axis=(2, 3))
-    cov = ((x - mu_x[..., None, None]) * (y - mu_y[..., None, None])).mean(axis=(2, 3))
-    numerator = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
-    denominator = (mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)
-    return float(np.mean(numerator / denominator))
 
 
 def high_frequency_retention(

@@ -17,8 +17,8 @@ can ask about, together with the visual granularity needed to answer them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -151,9 +151,6 @@ class Scene:
             if obj.name == name:
                 return obj
         raise KeyError(f"no object named {name!r} in scene {self.name!r}")
-
-    def facts_by_category(self, category: str) -> list[SceneFact]:
-        return [fact for fact in self.facts if fact.category == category]
 
     @property
     def frame_count(self) -> int:

@@ -84,22 +84,3 @@ def transcode_to_bitrate(
         fps=effective_fps,
         mean_psnr_db=float(np.mean([psnr(orig, dec) for orig, dec in zip(originals, decoded)])),
     )
-
-
-def concatenate_side_by_side(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Horizontally concatenate two frames (DeViBench's preprocessing step).
-
-    If heights differ, the shorter frame is padded with mid-grey so the
-    concatenation stays rectangular.
-    """
-    left = np.asarray(left, dtype=np.float64)
-    right = np.asarray(right, dtype=np.float64)
-    height = max(left.shape[0], right.shape[0])
-
-    def pad(frame: np.ndarray) -> np.ndarray:
-        if frame.shape[0] == height:
-            return frame
-        padding = np.full((height - frame.shape[0], frame.shape[1]), 128.0)
-        return np.vstack([frame, padding])
-
-    return np.hstack([pad(left), pad(right)])

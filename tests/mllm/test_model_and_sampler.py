@@ -121,14 +121,6 @@ class TestSimulatedMLLM:
         with pytest.raises(ValueError):
             mllm.evidence_quality(scene.facts[0], scene, decoded, originals[:1])
 
-    def test_accuracy_over_requires_facts(self, scene, codec):
-        mllm = SimulatedMLLM(seed=0)
-        decoded, originals = _frames(scene, qp=20, codec=codec)
-        with pytest.raises(ValueError):
-            mllm.accuracy_over([], scene, decoded, originals)
-        accuracy = mllm.accuracy_over(scene.facts, scene, decoded, originals)
-        assert 0.0 <= accuracy <= 1.0
-
     def test_invalid_mode_rejected(self, scene, codec):
         mllm = SimulatedMLLM(seed=0)
         decoded, originals = _frames(scene, qp=20, codec=codec)
@@ -194,9 +186,6 @@ class TestInferenceModel:
     def test_latency_grows_with_tokens(self):
         config = default_inference_config()
         assert config.first_response_latency_ms(1000) > config.first_response_latency_ms(100)
-        assert config.full_response_latency_ms(100, output_tokens=50) > config.full_response_latency_ms(
-            100, output_tokens=10
-        )
 
     def test_budget_subtraction(self):
         assert transmission_budget_ms() == pytest.approx(68.0)

@@ -280,9 +280,3 @@ class TestSessionAccounting:
         assert session.sender.bytes_sent > original_bytes
         assert session.sender.retransmissions_sent > 0
 
-    def test_forget_frame_stops_retransmission(self):
-        session = VideoTransportSession(uplink_config=_path(loss=0.9, seed=9))
-        session.send_frame(0, 14_000)
-        session.sender.forget_frame(0)
-        session.run(until=3.0)
-        assert session.sender.retransmissions_sent == 0

@@ -6,6 +6,8 @@ feeding the MLLM, ABR driven by the accuracy predictor, DeViBench samples
 evaluated through the full pipeline, and the public package surface.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -42,14 +44,12 @@ class TestPackageSurface:
             assert hasattr(repro, name)
 
     def test_public_exports_resolve(self):
-        from repro.core import __all__ as core_all
-        from repro.net import __all__ as net_all
-
-        import repro.core as core
-        import repro.net as net
-
-        assert all(hasattr(core, name) for name in core_all)
-        assert all(hasattr(net, name) for name in net_all)
+        subpackages = ("analysis", "core", "devibench", "distrib", "lint", "mllm", "net", "obs", "video")
+        dangling = []
+        for name in subpackages:
+            module = importlib.import_module(f"repro.{name}")
+            dangling += [f"repro.{name}.{export}" for export in module.__all__ if not hasattr(module, export)]
+        assert dangling == []
 
 
 class TestEncoderToTransport:
