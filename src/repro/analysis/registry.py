@@ -108,4 +108,4 @@ def _ensure_registered() -> None:
     Worker processes import this module fresh; touching
     ``repro.analysis.experiments`` populates the registry as a side effect.
     """
-    from . import experiments  # noqa: F401
+    from . import experiments  # reprolint: disable=unused-import

@@ -11,7 +11,7 @@ baseline used throughout the evaluation (Figures 9 and 10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -21,7 +21,7 @@ from ..video.codec import BlockCodec, EncodedFrame
 from ..video.frames import VideoFrame
 from ..video.rate_control import RateControlResult, encode_at_target_bitrate
 from ..video.scene import Scene, SceneFact
-from .qp_map import PAPER_GAMMA, QpMapConfig, correlation_to_qp, uniform_qp_map
+from .qp_map import PAPER_GAMMA, QpMapConfig, correlation_to_qp
 
 
 @dataclass

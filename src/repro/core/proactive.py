@@ -23,7 +23,6 @@ the same Equation (2) QP mapping as the reactive streamer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 

@@ -18,14 +18,13 @@ taking, per block, the best-quality layer received so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..mllm.clip import CorrelationMap
 from ..video.codec import MAX_QP, BlockCodec, EncodedFrame
-from .qp_map import QpMapConfig, correlation_to_qp
 
 
 @dataclass

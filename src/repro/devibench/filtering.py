@@ -9,10 +9,8 @@ the degradation destroyed.  The paper reports an 11.16 % acceptance rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..mllm.model import MODE_MULTIPLE_CHOICE, MllmProfile, QWEN2_5_OMNI, SimulatedMLLM
 from .generation import CandidateQA

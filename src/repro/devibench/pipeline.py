@@ -13,17 +13,14 @@ the paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
-import numpy as np
-
-from ..video.scene import Scene
-from .dataset import DeViBench, QASample
+from .dataset import DeViBench
 from .filtering import FilterReport, QAFilter
-from .generation import CandidateQA, GenerationConfig, QAGenerator
+from .generation import GenerationConfig, QAGenerator
 from .verification import CrossVerifier, VerificationReport
-from .videos import PreparedVideo, VideoCollection
+from .videos import VideoCollection
 
 #: Funnel rates reported by the paper (Table 1 and Section 3.1 text).
 PAPER_FILTER_ACCEPTANCE = 0.1116

@@ -11,7 +11,6 @@ side with the paper's numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..video.scene import CATEGORIES, PAPER_CATEGORY_DISTRIBUTION, PAPER_MULTI_FRAME_FRACTION
 from .dataset import DeViBench

@@ -47,7 +47,7 @@ def __getattr__(name: str):
         from . import worker
 
         return getattr(worker, name)
-    if name in ("ChaosChannel", "FaultPlan", "fault_plan_from_spec", "sample_plans"):
+    if name in ("ChaosChannel", "FaultPlan", "sample_plans"):
         from . import chaos
 
         return getattr(chaos, name)
@@ -72,7 +72,6 @@ __all__ = [
     "WorkerCellCache",
     "WorkerOutcome",
     "WorkerStats",
-    "fault_plan_from_spec",
     "run_worker",
     "sample_plans",
     "send_message",

@@ -48,7 +48,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
@@ -62,6 +62,7 @@ from ..analysis.sweeps import (
     gilbert_elliott_scenario,
 )
 from ..core import wallclock
+from ..core.spec import to_spec
 from .backend import DistributedBackend
 from .config import ConfigError, DistribTimeouts
 from .protocol import _HEADER, MessageChannel
@@ -85,7 +86,7 @@ _STREAM_STALL = 2
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """One seeded fault schedule, JSON-able like every other spec here.
+    """One seeded fault schedule, a JSON spec (:mod:`repro.core.spec`).
 
     Probabilities are per *operation* (one send or receive on the session
     stream; one heartbeat on the heartbeat stream; one cell execution for
@@ -138,17 +139,6 @@ class FaultPlan:
             raise ConfigError(f"crash_after must be None or an int >= 1, got {self.crash_after!r}")
         if not (isinstance(self.max_reconnects, int) and self.max_reconnects >= 0):
             raise ConfigError(f"max_reconnects must be an int >= 0, got {self.max_reconnects!r}")
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return asdict(self)
-
-
-def fault_plan_from_spec(spec: Mapping[str, Any]) -> FaultPlan:
-    """Build a validated :class:`FaultPlan` from a plain dict (JSON round-trip)."""
-    unknown = set(spec) - set(FaultPlan.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown fault plan field(s): {sorted(unknown)}")
-    return FaultPlan(**dict(spec))
 
 
 #: Named plans for CI and the CLI's ``--preset``.  Seeds are fixed so a
@@ -659,7 +649,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.show_plan:
         for plan in plans:
-            print(json.dumps(plan.to_jsonable(), sort_keys=True))
+            print(json.dumps(to_spec(plan), sort_keys=True))
 
     outcomes = run_soak(plans, results_root, workers=args.workers)
     failed = [outcome for outcome in outcomes if not outcome.ok]

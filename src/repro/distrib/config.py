@@ -12,23 +12,21 @@ and reconnect backoff (jittered exponential, drawn from a seeded
 ``np.random.Generator`` so backoff schedules replay bit-identically —
 the same discipline every other random draw in this repo follows).
 
-Both specs mirror the LossModel/controller spec idiom
-(:func:`repro.net.emulator.loss_model_from_spec`): plain dicts in,
-validated frozen dataclasses out, ``to_jsonable`` back — so a fault plan
-or CLI invocation can carry the full timing configuration as data.
+Both are plain JSON specs like every other configuration here: build one
+with ``from_spec(DistribTimeouts, spec)`` and write it back with
+``to_spec(timeouts)`` (:mod:`repro.core.spec`), so a fault plan or CLI
+invocation can carry the full timing configuration as data.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Optional
 
 import numpy as np
 
-
-class ConfigError(ValueError):
-    """A timing/retry configuration violates a dispatcher invariant."""
+from ..core.spec import ConfigError
 
 
 @dataclass(frozen=True)
@@ -86,16 +84,6 @@ class DistribTimeouts:
                 f"timeout {self.heartbeat_timeout_s:g}s or idle workers read as dead"
             )
 
-    def to_jsonable(self) -> dict[str, float]:
-        return asdict(self)
-
-    @classmethod
-    def from_spec(cls, spec: Mapping[str, Any]) -> "DistribTimeouts":
-        unknown = set(spec) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown timeout field(s): {sorted(unknown)}")
-        return cls(**{key: float(value) for key, value in spec.items()})
-
     def override(self, **fields: Optional[float]) -> "DistribTimeouts":
         """Copy with the non-``None`` fields replaced (re-validated)."""
         updates = {key: value for key, value in fields.items() if value is not None}
@@ -142,19 +130,6 @@ class RetryPolicy:
         if self.jitter == 0.0:
             return base
         return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_spec(cls, spec: Mapping[str, Any]) -> "RetryPolicy":
-        unknown = set(spec) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown retry field(s): {sorted(unknown)}")
-        fields = dict(spec)
-        if "max_requeues" in fields:
-            fields["max_requeues"] = int(fields["max_requeues"])
-        return cls(**fields)
 
     def override(self, **fields: Optional[Any]) -> "RetryPolicy":
         """Copy with the non-``None`` fields replaced (re-validated)."""

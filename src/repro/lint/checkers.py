@@ -73,6 +73,11 @@ RULES: dict[str, str] = {
         "if __name__ == '__main__' guard) may print, and an explicit "
         "print(..., file=...) destination is always allowed"
     ),
+    "unused-import": (
+        "an imported name no code in the module uses is dead weight that "
+        "hides real dependencies; package __init__ re-exports, __future__ "
+        "imports and names listed in __all__ are exempt"
+    ),
 }
 
 #: Modules whose dataclasses must declare ``slots=True`` (hot paths where
@@ -744,6 +749,74 @@ class SocketTimeoutChecker(ScopedVisitor):
                 )
 
 
+# ---------------------------------------------------------------------------
+# Rule 10: unused imports
+# ---------------------------------------------------------------------------
+
+
+class UnusedImportChecker(ScopedVisitor):
+    """Imported names the module never uses.
+
+    A name counts as used when it appears as an identifier anywhere in the
+    module (scopes are not distinguished), inside a string annotation such
+    as ``-> "BandwidthTrace"``, or as a string in a module-level
+    ``__all__``.  Package ``__init__.py`` files re-export by importing and
+    are skipped, as are ``from __future__`` imports.
+    """
+
+    rule = "unused-import"
+
+    def visit_Module(self, node: ast.Module) -> None:
+        if PurePosixPath(self.ctx.relpath).name == "__init__.py":
+            return
+        imports: list[tuple[ast.AST, str]] = []
+        used: set[str] = set()
+        for child in ast.walk(node):
+            if isinstance(child, ast.Import):
+                for alias in child.names:
+                    imports.append((child, alias.asname or alias.name.split(".")[0]))
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                imports.extend((child, alias.asname or alias.name) for alias in child.names)
+            elif isinstance(child, ast.Name):
+                used.add(child.id)
+            elif isinstance(child, (ast.arg, ast.AnnAssign)):
+                used |= self._string_annotation_names(child.annotation)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                used |= self._string_annotation_names(child.returns)
+        used |= self._dunder_all(node)
+        for import_node, name in imports:
+            if name not in used and name != "*":
+                self.emit(import_node, self.rule, f"{name!r} is imported but never used")
+
+    @staticmethod
+    def _string_annotation_names(annotation: Optional[ast.AST]) -> set[str]:
+        names: set[str] = set()
+        if annotation is None:
+            return names
+        for child in ast.walk(annotation):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                try:
+                    parsed = ast.parse(child.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+        return names
+
+    @staticmethod
+    def _dunder_all(node: ast.Module) -> set[str]:
+        for statement in node.body:
+            targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                value = statement.value
+                if isinstance(value, (ast.List, ast.Tuple)):
+                    return {
+                        elt.value
+                        for elt in value.elts
+                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                    }
+        return set()
+
+
 #: Single-file checkers, in reporting order.
 FILE_CHECKERS = (
     RngDisciplineChecker,
@@ -755,6 +828,7 @@ FILE_CHECKERS = (
     BroadExceptChecker,
     PrintDisciplineChecker,
     SocketTimeoutChecker,
+    UnusedImportChecker,
 )
 
 

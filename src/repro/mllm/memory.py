@@ -14,10 +14,8 @@ stored quality just like live answering is gated on decoded quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from ..video.scene import Scene, SceneFact
 from .embedding import ConceptSpace, cosine_similarity

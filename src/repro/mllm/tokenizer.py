@@ -19,8 +19,8 @@ step used to patch missing tokens at the receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.fft import dctn, idctn

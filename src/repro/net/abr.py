@@ -17,7 +17,7 @@ an accuracy constraint supplied by the context-aware streaming layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np

@@ -19,20 +19,22 @@ Two invariants shape the implementation:
   absolute ``k * interval_s`` deadline grid, including only samples that
   arrived strictly before the firing instant, and canonically ordering the
   included set before any float aggregation.
-* **Determinism.**  Controllers are built from JSON-able specs (mirroring the
-  ``LossModel`` / ``BandwidthTrace`` factories in ``emulator.py``) so sweep
-  cells stay content-hash cacheable, and they draw no hidden randomness —
-  the ``seed`` field is carried through specs for policies that will need it
-  (learned controllers), keeping reprolint's rng-discipline rule trivially
-  satisfied today.
+* **Determinism.**  Controllers are built from JSON specs
+  (:func:`controller_from_spec`; its nested estimator and ABR specs go
+  through :mod:`repro.core.spec` with ``ESTIMATOR_KINDS`` / ``ABR_KINDS``)
+  so sweep cells stay content-hash cacheable, and they draw no hidden
+  randomness — the ``seed`` field is carried through specs for policies that
+  will need it (learned controllers), keeping reprolint's rng-discipline rule
+  trivially satisfied today.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Optional
 
+from ..core.spec import ConfigError, from_spec, to_spec
 from .abr import AbrPolicy, AiOrientedAbr, BufferBasedAbr, ThroughputAbr
 from .congestion import (
     AimdConfig,
@@ -44,6 +46,8 @@ from .congestion import (
 )
 
 __all__ = [
+    "ABR_KINDS",
+    "ESTIMATOR_KINDS",
     "REPORT_SIZE_BYTES",
     "ClosedLoopController",
     "ControlAction",
@@ -51,12 +55,8 @@ __all__ = [
     "ReceiverReport",
     "ReportCollector",
     "SenderController",
-    "abr_policy_from_spec",
-    "abr_policy_to_spec",
     "controller_from_spec",
     "controller_to_spec",
-    "estimator_from_spec",
-    "estimator_to_spec",
     "fec_group_size_for_overhead",
     "preset_controller_spec",
 ]
@@ -337,83 +337,14 @@ class ClosedLoopController(SenderController):
         )
 
 
-# ---------------------------------------------------------------------------
-# JSON-able spec factories, mirroring loss_model_from_spec / to_spec in
-# emulator.py: a plain dict with a "kind" discriminator plus constructor
-# parameters, safe to embed in Scenario.overrides and content-hash cache keys.
-# ---------------------------------------------------------------------------
-
-
-def estimator_from_spec(spec: dict[str, Any]) -> BandwidthEstimator:
-    """Build a bandwidth estimator from a JSON-able spec dict."""
-    params = dict(spec)
-    kind = params.pop("kind", "gcc")
-    if kind == "gcc":
-        return GoogleCongestionControl(GccConfig(**params))
-    if kind == "aimd":
-        return AimdController(AimdConfig(**params))
-    raise ValueError(f"unknown estimator kind: {kind!r}")
-
-
-def estimator_to_spec(estimator: BandwidthEstimator) -> dict[str, Any]:
-    """Serialise a bandwidth estimator back to its spec dict."""
-    if isinstance(estimator, GoogleCongestionControl):
-        kind = "gcc"
-    elif isinstance(estimator, AimdController):
-        kind = "aimd"
-    else:
-        raise ValueError(f"cannot serialise estimator of type {type(estimator).__name__}")
-    spec: dict[str, Any] = {"kind": kind}
-    for config_field in fields(estimator.config):
-        spec[config_field.name] = getattr(estimator.config, config_field.name)
-    return spec
-
-
-_ABR_KINDS: dict[str, type] = {
+#: Estimator and ABR kinds for JSON specs (see :mod:`repro.core.spec`).  An
+#: estimator spec is its config: the config class picks the estimator.
+ESTIMATOR_KINDS: dict[str, type] = {"gcc": GccConfig, "aimd": AimdConfig}
+ABR_KINDS: dict[str, type] = {
     "throughput": ThroughputAbr,
     "buffer": BufferBasedAbr,
     "ai": AiOrientedAbr,
 }
-
-
-def abr_policy_from_spec(spec: dict[str, Any]) -> AbrPolicy:
-    """Build an ABR policy from a JSON-able spec dict."""
-    params = dict(spec)
-    kind = params.pop("kind", "throughput")
-    cls = _ABR_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown abr kind: {kind!r}")
-    for key in ("ladder_bps", "candidate_bitrates_bps"):
-        if key in params:
-            params[key] = tuple(params[key])
-    return cls(**params)
-
-
-def abr_policy_to_spec(policy: AbrPolicy) -> dict[str, Any]:
-    """Serialise an ABR policy back to its spec dict.
-
-    Predictor callables (:class:`AiOrientedAbr`) cannot ride a JSON spec;
-    policies carrying them must be passed as live objects instead.
-    """
-    for kind, cls in _ABR_KINDS.items():
-        if type(policy) is cls:
-            break
-    else:
-        raise ValueError(f"cannot serialise abr policy of type {type(policy).__name__}")
-    spec: dict[str, Any] = {"kind": kind}
-    for policy_field in fields(policy):
-        value = getattr(policy, policy_field.name)
-        if value is None:
-            continue
-        if callable(value):
-            raise ValueError(
-                f"{type(policy).__name__}.{policy_field.name} is a callable and "
-                "cannot be serialised to a spec"
-            )
-        if isinstance(value, (tuple, list)):
-            value = list(value)
-        spec[policy_field.name] = value
-    return spec
 
 
 def controller_from_spec(spec: dict[str, Any]) -> SenderController:
@@ -425,26 +356,24 @@ def controller_from_spec(spec: dict[str, Any]) -> SenderController:
     params = dict(spec)
     kind = params.pop("kind", "closed_loop")
     if kind == "fixed":
-        return FixedController(**params)
+        return from_spec(FixedController, params)
     if kind == "closed_loop":
-        estimator = estimator_from_spec(params.pop("estimator", {"kind": "gcc"}))
-        abr = abr_policy_from_spec(params.pop("abr", {"kind": "throughput"}))
-        return ClosedLoopController(estimator, abr, **params)
-    raise ValueError(f"unknown controller kind: {kind!r}")
+        config = from_spec(ESTIMATOR_KINDS, params.pop("estimator", {}), default_kind="gcc")
+        estimator_cls = GoogleCongestionControl if isinstance(config, GccConfig) else AimdController
+        abr = from_spec(ABR_KINDS, params.pop("abr", {}), default_kind="throughput")
+        return ClosedLoopController(estimator_cls(config), abr, **params)
+    raise ConfigError(f"unknown controller kind: {kind!r}")
 
 
 def controller_to_spec(controller: SenderController) -> dict[str, Any]:
     """Serialise a sender controller back to its spec dict."""
     if isinstance(controller, FixedController):
-        spec: dict[str, Any] = {"kind": "fixed", "bitrate_bps": controller.bitrate_bps}
-        if controller.fec_overhead_ratio is not None:
-            spec["fec_overhead_ratio"] = controller.fec_overhead_ratio
-        return spec
+        return {"kind": "fixed", **to_spec(controller)}
     if isinstance(controller, ClosedLoopController):
         spec = {
             "kind": "closed_loop",
-            "estimator": estimator_to_spec(controller.estimator),
-            "abr": abr_policy_to_spec(controller.abr),
+            "estimator": to_spec(controller.estimator.config, ESTIMATOR_KINDS),
+            "abr": to_spec(controller.abr, ABR_KINDS),
             "seed": controller.seed,
         }
         if controller.adapt_fec:
@@ -455,44 +384,19 @@ def controller_to_spec(controller: SenderController) -> dict[str, Any]:
         elif controller.fec_overhead_ratio is not None:
             spec["fec_overhead_ratio"] = controller.fec_overhead_ratio
         return spec
-    raise ValueError(f"cannot serialise controller of type {type(controller).__name__}")
+    raise ConfigError(f"cannot serialise controller of type {type(controller).__name__}")
 
 
 def preset_controller_spec(name: str) -> dict[str, Any]:
     """Named controller presets for CLIs and experiment grids."""
-    presets: dict[str, dict[str, Any]] = {
-        "fixed": {"kind": "fixed", "bitrate_bps": 2_000_000.0},
-        "gcc": {
-            "kind": "closed_loop",
-            "estimator": {"kind": "gcc"},
-            "abr": {"kind": "throughput"},
-        },
-        "aimd": {
-            "kind": "closed_loop",
-            "estimator": {"kind": "aimd"},
-            "abr": {"kind": "throughput"},
-        },
-        "gcc-buffer": {
-            "kind": "closed_loop",
-            "estimator": {"kind": "gcc"},
-            "abr": {"kind": "buffer"},
-        },
-        "aimd-buffer": {
-            "kind": "closed_loop",
-            "estimator": {"kind": "aimd"},
-            "abr": {"kind": "buffer"},
-        },
-        "gcc-ai": {
-            "kind": "closed_loop",
-            "estimator": {"kind": "gcc"},
-            "abr": {"kind": "ai"},
-        },
-        "aimd-ai": {
-            "kind": "closed_loop",
-            "estimator": {"kind": "aimd"},
-            "abr": {"kind": "ai"},
-        },
-    }
+    presets: dict[str, dict[str, Any]] = {"fixed": {"kind": "fixed", "bitrate_bps": 2_000_000.0}}
+    for estimator in ("gcc", "aimd"):
+        for abr, suffix in (("throughput", ""), ("buffer", "-buffer"), ("ai", "-ai")):
+            presets[estimator + suffix] = {
+                "kind": "closed_loop",
+                "estimator": {"kind": estimator},
+                "abr": {"kind": abr},
+            }
     try:
         return presets[name]
     except KeyError:

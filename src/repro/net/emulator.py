@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from ..core.spec import from_spec
 from .events import EventLoop
 from .packet import Packet
 
@@ -251,51 +252,20 @@ class BandwidthTrace:
         return min(max(mean, low), high)
 
 
-# ---------------------------------------------------------------------------
-# JSON-friendly specs: scenario grids (see repro.analysis.sweeps) describe
-# loss models and bandwidth traces as plain dicts so they can be hashed,
-# persisted, and shipped across process boundaries, then rebuilt here.
-# ---------------------------------------------------------------------------
+#: Loss-model kinds for JSON specs (see :mod:`repro.core.spec`): scenario
+#: grids (:mod:`repro.analysis.sweeps`) describe loss models and bandwidth
+#: traces as plain dicts so they can be hashed, persisted, and shipped across
+#: process boundaries, then rebuilt here.
+LOSS_KINDS: dict[str, type] = {"bernoulli": BernoulliLoss, "gilbert_elliott": GilbertElliottLoss}
 
 
 def loss_model_from_spec(spec: Optional[dict]) -> LossModel:
-    """Build a loss model from a plain-dict spec (``{"kind": ..., params}``)."""
-    if spec is None:
-        return BernoulliLoss(0.0)
-    kind = spec.get("kind", "bernoulli")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    if kind == "bernoulli":
-        return BernoulliLoss(**params)
-    if kind == "gilbert_elliott":
-        return GilbertElliottLoss(**params)
-    raise ValueError(f"unknown loss model kind: {kind!r}")
-
-
-def loss_model_to_spec(model: LossModel) -> dict:
-    """Inverse of :func:`loss_model_from_spec` for the built-in models."""
-    if isinstance(model, BernoulliLoss):
-        return {"kind": "bernoulli", "loss_rate": model.loss_rate}
-    if isinstance(model, GilbertElliottLoss):
-        return {
-            "kind": "gilbert_elliott",
-            "p_good_to_bad": model.p_good_to_bad,
-            "p_bad_to_good": model.p_bad_to_good,
-            "loss_in_bad": model.loss_in_bad,
-            "loss_in_good": model.loss_in_good,
-        }
-    raise ValueError(f"cannot build a spec for {type(model).__name__}")
+    """Build a loss model from a plain-dict spec; ``None`` means lossless."""
+    return from_spec(LOSS_KINDS, spec or {}, default_kind="bernoulli")
 
 
 def bandwidth_trace_from_spec(spec: Optional[dict]) -> Optional["BandwidthTrace"]:
-    if spec is None:
-        return None
-    return BandwidthTrace(times=list(spec["times"]), rates_bps=list(spec["rates_bps"]))
-
-
-def bandwidth_trace_to_spec(trace: Optional["BandwidthTrace"]) -> Optional[dict]:
-    if trace is None:
-        return None
-    return {"times": list(trace.times), "rates_bps": list(trace.rates_bps)}
+    return None if spec is None else from_spec(BandwidthTrace, spec)
 
 
 def expected_loss_rate(model: LossModel, samples: int = 20_000, seed: int = 0) -> float:

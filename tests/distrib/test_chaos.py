@@ -18,11 +18,11 @@ from repro.distrib.chaos import (
     ChaosChannel,
     ChaosInjected,
     FaultPlan,
-    fault_plan_from_spec,
     load_stripped_records,
     run_plan,
     sample_plans,
 )
+from repro.core.spec import from_spec, to_spec
 from repro.distrib.config import ConfigError
 from repro.distrib.protocol import ProtocolError, recv_message
 
@@ -44,11 +44,11 @@ class TestFaultPlan:
 
     def test_spec_round_trip(self):
         plan = FaultPlan(name="p", seed=7, corrupt_prob=0.1, crash_after=3)
-        assert fault_plan_from_spec(plan.to_jsonable()) == plan
+        assert from_spec(FaultPlan, to_spec(plan)) == plan
 
     def test_unknown_spec_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown fault plan field"):
-            fault_plan_from_spec({"name": "p", "seed": 0, "chaos_level": 11})
+        with pytest.raises(ConfigError, match="unknown FaultPlan field"):
+            from_spec(FaultPlan, {"name": "p", "seed": 0, "chaos_level": 11})
 
     def test_presets_cover_the_ci_trio(self):
         assert {"crash", "partition", "corrupt-frame"} <= set(PRESET_PLANS)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.spec import from_spec, to_spec
 from repro.distrib.config import (
     DEFAULT_RETRY,
     DEFAULT_TIMEOUTS,
@@ -46,11 +47,11 @@ class TestDistribTimeouts:
 
     def test_spec_round_trip(self):
         timeouts = DistribTimeouts(heartbeat_interval_s=0.5, heartbeat_timeout_s=2.0)
-        assert DistribTimeouts.from_spec(timeouts.to_jsonable()) == timeouts
+        assert from_spec(DistribTimeouts, to_spec(timeouts)) == timeouts
 
     def test_unknown_spec_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown timeout field"):
-            DistribTimeouts.from_spec({"hartbeat_timeout_s": 5.0})
+        with pytest.raises(ConfigError, match="unknown DistribTimeouts field"):
+            from_spec(DistribTimeouts, {"hartbeat_timeout_s": 5.0})
 
     def test_override_revalidates(self):
         quick = DEFAULT_TIMEOUTS.override(
@@ -94,11 +95,11 @@ class TestRetryPolicy:
 
     def test_spec_round_trip(self):
         policy = RetryPolicy(max_requeues=7, jitter=0.25)
-        assert RetryPolicy.from_spec(policy.to_jsonable()) == policy
+        assert from_spec(RetryPolicy, to_spec(policy)) == policy
 
     def test_unknown_spec_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown retry field"):
-            RetryPolicy.from_spec({"retries": 3})
+        with pytest.raises(ConfigError, match="unknown RetryPolicy field"):
+            from_spec(RetryPolicy, {"retries": 3})
 
 
 class TestBackoffSeed:

@@ -13,11 +13,11 @@ def snippet(source: str) -> str:
 
 class TestRngDiscipline:
     def test_stdlib_random_import_flagged(self, lint_tree):
-        result = lint_tree({"video/sim.py": "import random\n"})
+        result = lint_tree({"video/sim.py": "import random\nrandom.random()\n"})
         assert rules_of(result) == ["rng-discipline"]
 
     def test_stdlib_random_from_import_flagged(self, lint_tree):
-        result = lint_tree({"video/sim.py": "from random import choice\n"})
+        result = lint_tree({"video/sim.py": "from random import choice\nchoice([1])\n"})
         assert rules_of(result) == ["rng-discipline"]
 
     def test_np_random_seed_flagged(self, lint_tree):
@@ -542,5 +542,65 @@ class TestPrintDiscipline:
             """
         )
         result = lint_tree({"net/debug.py": source})
+        assert rules_of(result) == []
+        assert result.suppressed == 1
+
+
+class TestUnusedImport:
+    def test_unused_module_import_flagged(self, lint_tree):
+        result = lint_tree({"video/sim.py": "import os\nimport numpy as np\n\nx = np.zeros(3)\n"})
+        assert rules_of(result) == ["unused-import"]
+        assert "'os'" in result.findings[0].message
+
+    def test_each_unused_name_of_a_from_import_flagged(self, lint_tree):
+        source = snippet(
+            """
+            from typing import Optional, Sequence, Union
+
+            def pick(x: Optional[int]) -> int:
+                return x or 0
+            """
+        )
+        result = lint_tree({"net/sim.py": source})
+        assert rules_of(result) == ["unused-import", "unused-import"]
+        assert sorted(f.message.split("'")[1] for f in result.findings) == ["Sequence", "Union"]
+
+    def test_unused_function_local_import_flagged(self, lint_tree):
+        source = snippet(
+            """
+            def build():
+                import copy
+                return 1
+            """
+        )
+        assert rules_of(lint_tree({"core/sim.py": source})) == ["unused-import"]
+
+    def test_exemptions_are_clean(self, lint_tree):
+        source = snippet(
+            """
+            from __future__ import annotations
+
+            from typing import Optional
+
+            from .emulator import BandwidthTrace, LossModel
+            from .spec import ConfigError
+
+            __all__ = ["ConfigError"]
+
+            def trace_of(model: "LossModel") -> "Optional[BandwidthTrace]":
+                return None
+            """
+        )
+        files = {"net/sim.py": source, "net/__init__.py": "from .sim import trace_of\n"}
+        assert rules_of(lint_tree(files)) == []
+
+    def test_inline_disable_suppresses_a_side_effect_import(self, lint_tree):
+        source = snippet(
+            """
+            def ensure_registered():
+                from . import experiments  # reprolint: disable=unused-import
+            """
+        )
+        result = lint_tree({"analysis/registry.py": source})
         assert rules_of(result) == []
         assert result.suppressed == 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.spec import ConfigError, from_spec, to_spec
 from repro.net import (
     BernoulliLoss,
     FecConfig,
@@ -26,19 +27,17 @@ from repro.net import (
     family_scenarios,
     loss_model_from_spec,
 )
-from repro.net.abr import AiOrientedAbr, BufferBasedAbr, ThroughputAbr
+from repro.net.abr import AiOrientedAbr, ThroughputAbr
 from repro.net.congestion import AimdController, GoogleCongestionControl
 from repro.net.control import (
+    ABR_KINDS,
+    ESTIMATOR_KINDS,
     ClosedLoopController,
     ControlAction,
     FixedController,
     ReportCollector,
-    abr_policy_from_spec,
-    abr_policy_to_spec,
     controller_from_spec,
     controller_to_spec,
-    estimator_from_spec,
-    estimator_to_spec,
     fec_group_size_for_overhead,
     preset_controller_spec,
 )
@@ -242,26 +241,64 @@ class TestControllers:
 
 
 class TestSpecFactories:
-    def test_estimator_round_trip(self):
-        for kind in ("gcc", "aimd"):
-            spec = {"kind": kind}
-            estimator = estimator_from_spec(spec)
-            round_tripped = estimator_to_spec(estimator)
-            assert round_tripped["kind"] == kind
-            assert estimator_from_spec(round_tripped).config == estimator.config
-
-    def test_abr_round_trip(self):
-        for kind, cls in (("throughput", ThroughputAbr), ("buffer", BufferBasedAbr), ("ai", AiOrientedAbr)):
-            policy = abr_policy_from_spec({"kind": kind})
-            assert isinstance(policy, cls)
-            assert abr_policy_from_spec(abr_policy_to_spec(policy)).__class__ is cls
-
     def test_controller_round_trip_preserves_spec(self):
         for preset in ("fixed", "gcc", "aimd", "gcc-buffer", "aimd-ai"):
             spec = preset_controller_spec(preset)
             controller = controller_from_spec(spec)
             rebuilt = controller_from_spec(controller_to_spec(controller))
             assert controller_to_spec(rebuilt) == controller_to_spec(controller)
+
+    def test_controller_spec_is_pinned(self):
+        # controller_to_spec output lands in every closed_loop_session record
+        # and so in the e2e benchmark's golden digests: pin it value for value.
+        gcc = controller_to_spec(controller_from_spec(preset_controller_spec("gcc")))
+        assert gcc == {
+            "kind": "closed_loop",
+            "estimator": {
+                "kind": "gcc",
+                "initial_rate_bps": 1000000.0,
+                "min_rate_bps": 50000.0,
+                "max_rate_bps": 50000000.0,
+                "increase_factor": 1.08,
+                "decrease_factor": 0.85,
+                "overuse_threshold_s": 0.004,
+                "high_loss_threshold": 0.1,
+                "low_loss_threshold": 0.02,
+                "window": 20,
+            },
+            "abr": {
+                "kind": "throughput",
+                "ladder_bps": [
+                    300000.0, 600000.0, 1000000.0, 2000000.0,
+                    4000000.0, 6000000.0, 8000000.0, 10000000.0,
+                ],
+                "safety_factor": 0.95,
+            },
+            "seed": 0,
+        }
+        aimd = controller_to_spec(
+            ClosedLoopController(
+                AimdController(), ThroughputAbr(ladder_bps=(5e5, 1e6)), adapt_fec=True, seed=4
+            )
+        )
+        assert aimd == {
+            "kind": "closed_loop",
+            "estimator": {
+                "kind": "aimd",
+                "initial_rate_bps": 1000000.0,
+                "min_rate_bps": 50000.0,
+                "max_rate_bps": 50000000.0,
+                "additive_increase_bps": 100000.0,
+                "multiplicative_decrease": 0.7,
+                "loss_threshold": 0.02,
+            },
+            "abr": {"kind": "throughput", "ladder_bps": [500000.0, 1000000.0], "safety_factor": 0.95},
+            "seed": 4,
+            "adapt_fec": True,
+            "fec_min_overhead": 0.05,
+            "fec_max_overhead": 0.5,
+            "fec_loss_multiplier": 2.0,
+        }
 
     def test_adaptive_fec_survives_round_trip(self):
         controller = ClosedLoopController(
@@ -273,19 +310,19 @@ class TestSpecFactories:
         assert rebuilt.adapt_fec and rebuilt.fec_max_overhead == 0.4
 
     def test_unknown_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            estimator_from_spec({"kind": "bbr"})
-        with pytest.raises(ValueError):
-            abr_policy_from_spec({"kind": "oracle"})
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
+            from_spec(ESTIMATOR_KINDS, {"kind": "bbr"})
+        with pytest.raises(ConfigError):
+            from_spec(ABR_KINDS, {"kind": "oracle"})
+        with pytest.raises(ConfigError):
             controller_from_spec({"kind": "rl"})
         with pytest.raises(ValueError, match="preset"):
             preset_controller_spec("nope")
 
     def test_callable_predictor_cannot_ride_a_spec(self):
         policy = AiOrientedAbr(accuracy_predictor=lambda bps: 0.9)
-        with pytest.raises(ValueError, match="callable"):
-            abr_policy_to_spec(policy)
+        with pytest.raises(ConfigError, match="callable"):
+            to_spec(policy, ABR_KINDS)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.spec import to_spec
 from repro.net.emulator import (
     BandwidthTrace,
     BernoulliLoss,
     GilbertElliottLoss,
     bandwidth_trace_from_spec,
-    bandwidth_trace_to_spec,
     expected_loss_rate,
     loss_model_from_spec,
-    loss_model_to_spec,
 )
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -128,20 +127,6 @@ class TestBandwidthTraceProperties:
 
 
 class TestSpecs:
-    def test_bernoulli_roundtrip(self):
-        model = BernoulliLoss(0.07)
-        rebuilt = loss_model_from_spec(loss_model_to_spec(model))
-        assert isinstance(rebuilt, BernoulliLoss)
-        assert rebuilt.loss_rate == pytest.approx(0.07)
-
-    def test_gilbert_elliott_roundtrip(self):
-        model = GilbertElliottLoss(
-            p_good_to_bad=0.04, p_bad_to_good=0.5, loss_in_bad=0.6, loss_in_good=0.01
-        )
-        rebuilt = loss_model_from_spec(loss_model_to_spec(model))
-        assert isinstance(rebuilt, GilbertElliottLoss)
-        assert rebuilt.steady_state_loss == pytest.approx(model.steady_state_loss)
-
     def test_none_spec_is_lossless(self):
         model = loss_model_from_spec(None)
         assert isinstance(model, BernoulliLoss)
@@ -153,11 +138,10 @@ class TestSpecs:
 
     def test_trace_roundtrip(self):
         trace = BandwidthTrace(times=[0.0, 2.0], rates_bps=[1e6, 5e6])
-        rebuilt = bandwidth_trace_from_spec(bandwidth_trace_to_spec(trace))
+        rebuilt = bandwidth_trace_from_spec(to_spec(trace))
         assert rebuilt.rate_at(1.0) == 1e6
         assert rebuilt.rate_at(3.0) == 5e6
         assert bandwidth_trace_from_spec(None) is None
-        assert bandwidth_trace_to_spec(None) is None
 
 
 class TestExpectedLossRate:
