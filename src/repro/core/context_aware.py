@@ -24,26 +24,21 @@ from ..video.scene import Scene, SceneFact
 from .qp_map import PAPER_GAMMA, QpMapConfig, correlation_to_qp
 
 
+#: QP of the context-agnostic baseline when no bitrate target is given.
+BASELINE_QP = 35.0
+#: Rate-control tolerance and trial budget when a target bitrate is requested.
+RATE_TOLERANCE = 0.05
+RATE_ITERATIONS = 10
+
+
 @dataclass
 class StreamingConfig:
     """Configuration of the context-aware streamer."""
 
     patch_size: int = 32
     gamma: float = PAPER_GAMMA
-    #: QP used by the context-agnostic baseline when no bitrate target is given.
-    baseline_qp: float = 35.0
-    #: Rate-control tolerance when a target bitrate is requested.
-    rate_tolerance: float = 0.05
-    rate_iterations: int = 10
     #: Optional ceiling so no region is compressed beyond recognition.
     qp_ceiling: Optional[float] = None
-    #: Stretch each frame's correlation map to the full [-1, 1] range before
-    #: applying Equation (2).  The concept-embedding CLIP substitute produces
-    #: similarities in a narrower, higher band than real CLIP, so without the
-    #: stretch Equation (2) would under-penalise irrelevant regions; the
-    #: stretch restores the paper's "almost exclusively important regions"
-    #: allocation (documented as a substitution detail in DESIGN.md).
-    normalize_correlation: bool = True
 
     def qp_config(self) -> QpMapConfig:
         return QpMapConfig(gamma=self.gamma, qp_ceiling=self.qp_ceiling)
@@ -109,10 +104,15 @@ class ContextAwareStreamer:
     ) -> np.ndarray:
         """Per-codec-block QP map derived from a correlation map."""
         block_grid = correlation.to_block_grid(self.codec.config.block_size, frame_shape)
-        if self.config.normalize_correlation:
-            low, high = float(block_grid.min()), float(block_grid.max())
-            if high - low > 1e-9:
-                block_grid = 2.0 * (block_grid - low) / (high - low) - 1.0
+        # Stretch the map to the full [-1, 1] range before Equation (2).  The
+        # concept-embedding CLIP substitute produces similarities in a
+        # narrower, higher band than real CLIP, so without the stretch
+        # Equation (2) would under-penalise irrelevant regions; the stretch
+        # restores the paper's "almost exclusively important regions"
+        # allocation (documented as a substitution detail in DESIGN.md).
+        low, high = float(block_grid.min()), float(block_grid.max())
+        if high - low > 1e-9:
+            block_grid = 2.0 * (block_grid - low) / (high - low) - 1.0
         return np.asarray(
             correlation_to_qp(block_grid, self.config.qp_config()), dtype=float
         )
@@ -145,33 +145,8 @@ class ContextAwareStreamer:
             scene, user_words, pixels, extra_concepts=extra_concepts, time_s=timestamp
         )
         qp_map = self.qp_map_for(correlation, pixels.shape)
-
-        rate_result: Optional[RateControlResult] = None
-        if target_bitrate_bps is None:
-            encoded = self.codec.encode(
-                pixels, qp_map, frame_id=frame_id, timestamp=timestamp
-            )
-        else:
-            rate_result = encode_at_target_bitrate(
-                self.codec,
-                pixels,
-                target_bitrate_bps,
-                fps=fps,
-                base_qp_map=qp_map,
-                tolerance=self.config.rate_tolerance,
-                max_iterations=self.config.rate_iterations,
-                frame_id=frame_id,
-                timestamp=timestamp,
-            )
-            encoded = rate_result.encoded
-        decoded = self.codec.decode(encoded)
-        return EncodeOutcome(
-            encoded=encoded,
-            decoded=decoded,
-            qp_map=encoded.qp_map,
-            correlation=correlation,
-            rate_control=rate_result,
-            client_compute_ms=correlation.compute_latency_ms,
+        return _encode_outcome(
+            self.codec, pixels, qp_map, target_bitrate_bps, fps, frame_id, timestamp, correlation
         )
 
     # -- helpers for ABR integration ------------------------------------------
@@ -214,12 +189,7 @@ class ContextAwareStreamer:
 class UniformStreamer:
     """The context-agnostic baseline: the same codec with a single QP everywhere."""
 
-    def __init__(
-        self,
-        config: Optional[StreamingConfig] = None,
-        codec: Optional[BlockCodec] = None,
-    ) -> None:
-        self.config = config or StreamingConfig()
+    def __init__(self, codec: Optional[BlockCodec] = None) -> None:
         self.codec = codec or BlockCodec()
 
     def encode_frame(
@@ -235,30 +205,44 @@ class UniformStreamer:
         pixels = frame.pixels if isinstance(frame, VideoFrame) else np.asarray(frame, dtype=float)
         timestamp = frame.timestamp if isinstance(frame, VideoFrame) else timestamp
         frame_id = frame.frame_id if isinstance(frame, VideoFrame) else frame_id
-        base_qp = self.config.baseline_qp if qp is None else float(qp)
-
-        rate_result: Optional[RateControlResult] = None
-        if target_bitrate_bps is None:
-            encoded = self.codec.encode(pixels, base_qp, frame_id=frame_id, timestamp=timestamp)
-        else:
-            rate_result = encode_at_target_bitrate(
-                self.codec,
-                pixels,
-                target_bitrate_bps,
-                fps=fps,
-                base_qp_map=base_qp,
-                tolerance=self.config.rate_tolerance,
-                max_iterations=self.config.rate_iterations,
-                frame_id=frame_id,
-                timestamp=timestamp,
-            )
-            encoded = rate_result.encoded
-        decoded = self.codec.decode(encoded)
-        return EncodeOutcome(
-            encoded=encoded,
-            decoded=decoded,
-            qp_map=encoded.qp_map,
-            correlation=None,
-            rate_control=rate_result,
-            client_compute_ms=0.0,
+        base_qp = BASELINE_QP if qp is None else float(qp)
+        return _encode_outcome(
+            self.codec, pixels, base_qp, target_bitrate_bps, fps, frame_id, timestamp, None
         )
+
+
+def _encode_outcome(
+    codec: BlockCodec,
+    pixels: np.ndarray,
+    qp_map: Union[float, np.ndarray],
+    target_bitrate_bps: Optional[float],
+    fps: float,
+    frame_id: int,
+    timestamp: float,
+    correlation: Optional[CorrelationMap],
+) -> EncodeOutcome:
+    """Encode at ``qp_map`` (or rate-control around it to a target), then decode."""
+    rate_result: Optional[RateControlResult] = None
+    if target_bitrate_bps is None:
+        encoded = codec.encode(pixels, qp_map, frame_id=frame_id, timestamp=timestamp)
+    else:
+        rate_result = encode_at_target_bitrate(
+            codec,
+            pixels,
+            target_bitrate_bps,
+            fps=fps,
+            base_qp_map=qp_map,
+            tolerance=RATE_TOLERANCE,
+            max_iterations=RATE_ITERATIONS,
+            frame_id=frame_id,
+            timestamp=timestamp,
+        )
+        encoded = rate_result.encoded
+    return EncodeOutcome(
+        encoded=encoded,
+        decoded=codec.decode(encoded),
+        qp_map=encoded.qp_map,
+        correlation=correlation,
+        rate_control=rate_result,
+        client_compute_ms=0.0 if correlation is None else correlation.compute_latency_ms,
+    )

@@ -105,7 +105,7 @@ class AIVideoChatSession:
         self.uplink_config = uplink_config or PathConfig()
         self.transport_config = transport_config or TransportConfig()
         self.streamer = streamer or ContextAwareStreamer(StreamingConfig())
-        self.baseline = baseline or UniformStreamer(StreamingConfig())
+        self.baseline = baseline or UniformStreamer()
         self.mllm = mllm or SimulatedMLLM()
         self.sampler = sampler or ReceiverSampler()
         #: One capture source per dialogue: every turn reuses its rendered frames.

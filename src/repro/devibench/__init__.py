@@ -40,7 +40,7 @@ from .stats import (
 from .verification import CrossVerifier, VerificationDecision, VerificationReport
 from .videos import (
     DEFAULT_LOW_BITRATE_BPS,
-    DEFAULT_SAMPLING_FPS,
+    SAMPLING_FPS,
     PreparedVideo,
     VideoCollection,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "CandidateQA",
     "CrossVerifier",
     "DEFAULT_LOW_BITRATE_BPS",
-    "DEFAULT_SAMPLING_FPS",
     "DeViBench",
     "DeViBenchPipeline",
     "DistributionRow",
@@ -70,6 +69,7 @@ __all__ = [
     "QAGenerator",
     "QASample",
     "QA_GENERATION_PROMPT",
+    "SAMPLING_FPS",
     "SampleEvaluation",
     "Table1Row",
     "VerificationDecision",

@@ -21,7 +21,7 @@ from ..mllm.model import MODE_MULTIPLE_CHOICE, SimulatedMLLM
 from ..video.frames import VideoFrame
 from ..video.scene import Scene
 from .dataset import DeViBench, QASample
-from .videos import VideoCollection
+from .videos import FRAMES_PER_VIDEO, SAMPLING_FPS, VideoCollection, sampled_frames
 
 
 @dataclass
@@ -56,9 +56,6 @@ class BenchmarkEvaluator:
         mllm: Optional[SimulatedMLLM] = None,
         streamer: Optional[ContextAwareStreamer] = None,
         baseline: Optional[UniformStreamer] = None,
-        sampling_fps: float = 2.0,
-        frames_per_video: int = 3,
-        rate_fps: Optional[float] = None,
         mode: str = MODE_MULTIPLE_CHOICE,
     ) -> None:
         if len(benchmark) == 0:
@@ -66,13 +63,7 @@ class BenchmarkEvaluator:
         self.benchmark = benchmark
         self.mllm = mllm or SimulatedMLLM()
         self.streamer = streamer or ContextAwareStreamer(StreamingConfig())
-        self.baseline = baseline or UniformStreamer(StreamingConfig())
-        self.sampling_fps = sampling_fps
-        self.frames_per_video = frames_per_video
-        #: Frame rate used to convert a target bitrate into a per-frame bit
-        #: budget.  Defaults to the MLLM sampling rate, consistently with the
-        #: DeViBench preprocessing (see VideoCollection.rate_fps).
-        self.rate_fps = float(rate_fps) if rate_fps is not None else float(sampling_fps)
+        self.baseline = baseline or UniformStreamer()
         self.mode = mode
         self._frame_cache: dict[str, list[VideoFrame]] = {}
 
@@ -80,10 +71,7 @@ class BenchmarkEvaluator:
 
     def _original_frames(self, scene: Scene) -> list[VideoFrame]:
         if scene.name not in self._frame_cache:
-            source = scene.to_source()
-            stride = max(1, int(round(scene.fps / self.sampling_fps)))
-            indices = list(range(0, source.frame_count(), stride))[: self.frames_per_video]
-            self._frame_cache[scene.name] = [source.frame_at(index) for index in indices]
+            self._frame_cache[scene.name] = sampled_frames(scene, FRAMES_PER_VIDEO)
         return self._frame_cache[scene.name]
 
     # -- evaluation -----------------------------------------------------------
@@ -107,20 +95,20 @@ class BenchmarkEvaluator:
                     frame,
                     sample.question,
                     target_bitrate_bps=target_bitrate_bps,
-                    fps=self.rate_fps,
+                    fps=SAMPLING_FPS,
                 )
             else:
                 outcome = self.baseline.encode_frame(
                     frame,
                     target_bitrate_bps=target_bitrate_bps,
-                    fps=self.rate_fps,
+                    fps=SAMPLING_FPS,
                 )
             total_bits += outcome.encoded.total_bits
             decoded_frames.append(
                 VideoFrame(frame_id=frame.frame_id, timestamp=frame.timestamp, pixels=outcome.decoded)
             )
 
-        achieved = total_bits / max(len(originals), 1) * self.rate_fps
+        achieved = total_bits / max(len(originals), 1) * SAMPLING_FPS
         answer = self.mllm.answer_question(
             fact,
             scene,

@@ -9,7 +9,7 @@ the degradation destroyed.  The paper reports an 11.16 % acceptance rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..mllm.model import MODE_MULTIPLE_CHOICE, MllmProfile, QWEN2_5_OMNI, SimulatedMLLM
@@ -66,17 +66,7 @@ class QAFilter:
         # either rendition except by luck; model that by forcing a guess.
         effective_fact = fact
         if candidate.unanswerable:
-            effective_fact = type(fact)(
-                object_name=fact.object_name,
-                key=fact.key,
-                value=fact.value,
-                domain=fact.domain,
-                category=fact.category,
-                detail_scale=1.0,
-                question=sample.question,
-                multi_frame=fact.multi_frame,
-                query_concepts=fact.query_concepts,
-            )
+            effective_fact = replace(fact, detail_scale=1.0, question=sample.question)
         answer = self.mllm.answer_question(
             effective_fact,
             prepared.scene,

@@ -20,7 +20,7 @@ from .dataset import DeViBench
 from .filtering import FilterReport, QAFilter
 from .generation import GenerationConfig, QAGenerator
 from .verification import CrossVerifier, VerificationReport
-from .videos import VideoCollection
+from .videos import FRAMES_PER_VIDEO, VideoCollection
 
 #: Funnel rates reported by the paper (Table 1 and Section 3.1 text).
 PAPER_FILTER_ACCEPTANCE = 0.1116
@@ -122,7 +122,7 @@ def build_benchmark(
     seed: int = 0,
     height: int = 360,
     width: int = 640,
-    frames_per_video: int = 3,
+    frames_per_video: int = FRAMES_PER_VIDEO,
     generation_config: Optional[GenerationConfig] = None,
 ) -> PipelineReport:
     """One-call construction of a DeViBench instance over a synthetic corpus."""

@@ -10,7 +10,7 @@ The paper reports a 70.61 % pass rate for this stage.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..mllm.model import GLM_4_5V, MODE_MULTIPLE_CHOICE, MllmProfile, SimulatedMLLM
@@ -95,17 +95,7 @@ class CrossVerifier:
         # An unanswerable question leaves the verifier guessing too.
         effective_fact = fact
         if candidate.unanswerable:
-            effective_fact = type(fact)(
-                object_name=fact.object_name,
-                key=fact.key,
-                value=fact.value,
-                domain=fact.domain,
-                category=fact.category,
-                detail_scale=1.0,
-                question=sample.question,
-                multi_frame=fact.multi_frame,
-                query_concepts=fact.query_concepts,
-            )
+            effective_fact = replace(fact, detail_scale=1.0, question=sample.question)
         answer = self.mllm.answer_question(
             effective_fact,
             prepared.scene,

@@ -4,7 +4,8 @@ The paper collects the videos of existing streaming-video benchmarks
 (discarding their QA) and transcodes each one to a 200 Kbps rendition with
 x265; the original and the low-bitrate version are then concatenated side by
 side for the QA-generation model.  Our collection is the synthetic scene
-corpus, and preprocessing runs the block-codec transcoder.
+corpus, and preprocessing rate-controls each video's sampled frames with the
+block codec.
 """
 
 from __future__ import annotations
@@ -14,13 +15,27 @@ from typing import Optional, Sequence
 
 from ..video.codec import BlockCodec
 from ..video.frames import VideoFrame
+from ..video.rate_control import achieved_bitrate_bps, encode_sequence_at_target_bitrate
 from ..video.scene import Scene, build_scene_corpus
-from ..video.transcode import TranscodeResult, transcode_to_bitrate
 
 #: Bitrate of the degraded rendition used throughout Section 3.1.
 DEFAULT_LOW_BITRATE_BPS = 200_000.0
-#: Frame rate at which the QA-generation / filtering MLLMs look at the video.
-DEFAULT_SAMPLING_FPS = 2.0
+#: Frame rate at which the QA-generation, filtering and evaluation MLLMs look
+#: at the video.  It is also the rate that turns a bitrate into a per-frame
+#: bit budget: our codec is intra-only and only these sampled frames are
+#: encoded, so bitrates are accounted over them; the paper's inter-predicted
+#: full-rate stream at the same kbps delivers roughly the same budget per
+#: sampled frame.
+SAMPLING_FPS = 2.0
+#: Frames sampled from each video for evaluation (and by default for the build).
+FRAMES_PER_VIDEO = 3
+
+
+def sampled_frames(scene: Scene, count: int) -> list[VideoFrame]:
+    """The first ``count`` frames of ``scene`` taken at :data:`SAMPLING_FPS`."""
+    source = scene.to_source()
+    stride = max(1, int(round(scene.fps / SAMPLING_FPS)))
+    return [source.frame_at(index) for index in range(0, source.frame_count(), stride)[:count]]
 
 
 @dataclass
@@ -45,10 +60,7 @@ class VideoCollection:
         self,
         scenes: Optional[Sequence[Scene]] = None,
         low_bitrate_bps: float = DEFAULT_LOW_BITRATE_BPS,
-        sampling_fps: float = DEFAULT_SAMPLING_FPS,
-        frames_per_video: int = 3,
-        codec: Optional[BlockCodec] = None,
-        rate_fps: Optional[float] = None,
+        frames_per_video: int = FRAMES_PER_VIDEO,
     ) -> None:
         if low_bitrate_bps <= 0:
             raise ValueError("low_bitrate_bps must be positive")
@@ -56,15 +68,8 @@ class VideoCollection:
             raise ValueError("frames_per_video must be >= 1")
         self.scenes = list(scenes) if scenes is not None else []
         self.low_bitrate_bps = float(low_bitrate_bps)
-        self.sampling_fps = float(sampling_fps)
         self.frames_per_video = int(frames_per_video)
-        self.codec = codec or BlockCodec()
-        #: Frame rate used to convert the bitrate into a per-frame bit budget.
-        #: Our codec is intra-only and only the MLLM-rate frames are encoded,
-        #: so bitrates are accounted over those frames (≈2 FPS); the paper's
-        #: inter-predicted full-rate stream at the same kbps delivers roughly
-        #: the same budget per sampled frame.
-        self.rate_fps = float(rate_fps) if rate_fps is not None else self.sampling_fps
+        self.codec = BlockCodec()
 
     @classmethod
     def synthetic(
@@ -79,33 +84,30 @@ class VideoCollection:
         scenes = build_scene_corpus(video_count, seed=seed, height=height, width=width)
         return cls(scenes=scenes, **kwargs)
 
-    def _select_frames(self, scene: Scene) -> list[VideoFrame]:
-        source = scene.to_source()
-        stride = max(1, int(round(scene.fps / self.sampling_fps)))
-        indices = list(range(0, source.frame_count(), stride))[: self.frames_per_video]
-        return [source.frame_at(index) for index in indices]
-
     def prepare(self, scene: Scene) -> PreparedVideo:
-        """Preprocessing step for one scene: select frames and transcode to 200 Kbps."""
-        originals = self._select_frames(scene)
-        transcoded: TranscodeResult = transcode_to_bitrate(
-            scene.to_source(),
+        """Preprocessing step for one scene: sample frames, rate-control them to the low bitrate."""
+        originals = sampled_frames(scene, self.frames_per_video)
+        results = encode_sequence_at_target_bitrate(
+            self.codec,
+            [frame.pixels for frame in originals],
             self.low_bitrate_bps,
-            codec=self.codec,
-            max_frames=self.frames_per_video,
-            frame_stride=max(1, int(round(scene.fps / self.sampling_fps))),
-            rate_fps=self.rate_fps,
+            fps=SAMPLING_FPS,
+            tolerance=0.08,
         )
         degraded = [
-            VideoFrame(frame_id=orig.frame_id, timestamp=orig.timestamp, pixels=pixels)
-            for orig, pixels in zip(originals, transcoded.frames)
+            VideoFrame(
+                frame_id=orig.frame_id,
+                timestamp=orig.timestamp,
+                pixels=self.codec.decode(result.encoded),
+            )
+            for orig, result in zip(originals, results)
         ]
         return PreparedVideo(
             scene=scene,
             original_frames=originals,
             degraded_frames=degraded,
             low_bitrate_bps=self.low_bitrate_bps,
-            achieved_bitrate_bps=transcoded.achieved_bitrate_bps,
+            achieved_bitrate_bps=achieved_bitrate_bps(results, SAMPLING_FPS),
         )
 
     def prepare_all(self) -> list[PreparedVideo]:

@@ -218,6 +218,9 @@ class FrameAssembler:
                 self._first_send_time[frame_id], packet.send_time
             )
         already_complete = frame_id in self._complete_time
+        # A duplicate delivery (a retransmission racing an FEC recovery, or a
+        # reordered original arriving after its parity stood in for it) must
+        # not count its bytes against the frame twice.
         if packet.index_in_frame not in self._received[frame_id]:
             self._received[frame_id].add(packet.index_in_frame)
             self._bytes[frame_id] += packet.size_bytes
@@ -248,6 +251,9 @@ class FrameAssembler:
 
     def capture_time(self, frame_id: int) -> Optional[float]:
         return self._capture_time.get(frame_id)
+
+    def first_send_time(self, frame_id: int) -> Optional[float]:
+        return self._first_send_time.get(frame_id)
 
     def received_bytes(self, frame_id: int) -> int:
         return self._bytes.get(frame_id, 0)

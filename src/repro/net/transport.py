@@ -374,7 +374,6 @@ class VideoReceiver:
         self._on_frame = on_frame
         self._nack_rounds: dict[int, int] = {}
         self._check_scheduled: set[int] = set()
-        self._frame_meta: dict[int, tuple[float, float, int]] = {}
         # Decoder state for an incomplete frame outlives the NACK machinery's
         # give-up point by a few retry intervals (late retransmissions still
         # in flight can combine with pending parity).
@@ -493,18 +492,6 @@ class VideoReceiver:
     def _accept(self, packet: Packet, arrival_time: float) -> None:
         self._track_sequence(packet)
         frame_id = packet.frame_id
-        # A duplicate delivery (a retransmission racing an FEC recovery, or a
-        # reordered original arriving after its parity stood in for it) must
-        # not count its bytes against the frame twice.
-        duplicate = self.assembler.has_packet(frame_id, packet.index_in_frame)
-        if frame_id not in self._frame_meta:
-            self._frame_meta[frame_id] = (packet.capture_time, packet.send_time, 0)
-        capture_time, first_send, size = self._frame_meta[frame_id]
-        first_send = min(first_send, packet.send_time) if size else packet.send_time
-        if not duplicate:
-            size += packet.size_bytes
-        self._frame_meta[frame_id] = (capture_time, first_send, size)
-
         completed = self.assembler.on_packet(packet, arrival_time)
         if completed:
             self._complete_frame(frame_id, arrival_time)
@@ -522,13 +509,12 @@ class VideoReceiver:
         self.stats.record_completion(frame_id, complete_time)
         if self._fec_decoder is not None:
             self._fec_decoder.on_frame_complete(frame_id)
-        capture_time, send_time, size = self._frame_meta.get(frame_id, (0.0, 0.0, 0))
         event = FrameDeliveryEvent(
             frame_id=frame_id,
-            capture_time=capture_time,
-            send_time=send_time,
+            capture_time=self.assembler.capture_time(frame_id),
+            send_time=self.assembler.first_send_time(frame_id),
             complete_time=complete_time,
-            size_bytes=size,
+            size_bytes=self.assembler.received_bytes(frame_id),
         )
         self.delivered_frames.append(event)
         if self._on_frame is not None:

@@ -1,10 +1,10 @@
 """Video substrate: frames, synthetic scenes, block codec, rate control.
 
 This subpackage supplies everything the paper's experiments need from a
-video pipeline: a frame/source abstraction, a synthetic scene generator with
-semantic ground truth (standing in for the real video corpus), a block-DCT
-codec with per-block QP control (standing in for Kvazaar/x265), trial-and-
-error rate control, quality metrics, and transcoding.
+video pipeline: frames, a synthetic scene generator with semantic ground
+truth (standing in for the real video corpus), a block-DCT codec with
+per-block QP control (standing in for Kvazaar/x265), trial-and-error rate
+control, and quality metrics.
 """
 
 from .codec import (
@@ -16,9 +16,7 @@ from .codec import (
     TransformedFrame,
 )
 from .frames import (
-    ArrayVideoSource,
     VideoFrame,
-    VideoSource,
     downsample_frame,
 )
 from .quality import (
@@ -56,10 +54,8 @@ from .scene import (
     make_sports_scene,
     make_street_scene,
 )
-from .transcode import TranscodeResult, transcode_to_bitrate
 
 __all__ = [
-    "ArrayVideoSource",
     "BlockCodec",
     "CATEGORIES",
     "CATEGORY_ACTION",
@@ -81,10 +77,8 @@ __all__ = [
     "SceneFact",
     "SceneObject",
     "SceneVideoSource",
-    "TranscodeResult",
     "TransformedFrame",
     "VideoFrame",
-    "VideoSource",
     "achieved_bitrate_bps",
     "build_scene_corpus",
     "downsample_frame",
@@ -99,5 +93,4 @@ __all__ = [
     "mse",
     "psnr",
     "region_quality",
-    "transcode_to_bitrate",
 ]

@@ -1,4 +1,4 @@
-"""Video frame and video source abstractions.
+"""Video frames and their spatial downsampling.
 
 Frames are single-channel (luma) numpy arrays with values in [0, 255].  The
 paper's pipeline operates on full RGB video, but every quantity the
@@ -10,7 +10,6 @@ keeps the pure-Python codec fast enough for exhaustive testing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,59 +51,6 @@ class VideoFrame:
             timestamp=self.timestamp,
             pixels=self.pixels.copy(),
             metadata=dict(self.metadata),
-        )
-
-
-class VideoSource:
-    """Interface for anything that can produce a timed sequence of frames."""
-
-    fps: float
-    height: int
-    width: int
-
-    def frame_at(self, index: int) -> VideoFrame:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def frame_count(self) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[VideoFrame]:
-        for index in range(self.frame_count()):
-            yield self.frame_at(index)
-
-    @property
-    def duration_s(self) -> float:
-        return self.frame_count() / self.fps
-
-    def raw_bitrate_bps(self, bits_per_pixel: float = 8.0) -> float:
-        """Uncompressed bitrate of the source (used for redundancy figures)."""
-        return self.height * self.width * bits_per_pixel * self.fps
-
-
-class ArrayVideoSource(VideoSource):
-    """A video source backed by an in-memory list of frames."""
-
-    def __init__(self, frames: Sequence[np.ndarray], fps: float = 30.0, start_time: float = 0.0) -> None:
-        if not frames:
-            raise ValueError("ArrayVideoSource needs at least one frame")
-        shapes = {np.asarray(f).shape for f in frames}
-        if len(shapes) != 1:
-            raise ValueError(f"all frames must share one shape, got {shapes}")
-        self._frames = [np.asarray(f, dtype=np.float64) for f in frames]
-        self.fps = float(fps)
-        self.height, self.width = self._frames[0].shape
-        self._start_time = start_time
-
-    def frame_count(self) -> int:
-        return len(self._frames)
-
-    def frame_at(self, index: int) -> VideoFrame:
-        if not 0 <= index < len(self._frames):
-            raise IndexError(f"frame index {index} out of range [0, {len(self._frames)})")
-        return VideoFrame(
-            frame_id=index,
-            timestamp=self._start_time + index / self.fps,
-            pixels=self._frames[index],
         )
 
 

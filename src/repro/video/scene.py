@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .frames import VideoFrame, VideoSource
+from .frames import VideoFrame
 
 # QA categories used by DeViBench (Figure 8 of the paper).
 CATEGORY_TEXT_RICH = "text_rich"
@@ -200,8 +200,8 @@ class Scene:
         return SceneVideoSource(self)
 
 
-class SceneVideoSource(VideoSource):
-    """Adapts a :class:`Scene` to the :class:`VideoSource` interface."""
+class SceneVideoSource:
+    """A scene's frames as :class:`VideoFrame` objects, each rendered once."""
 
     def __init__(self, scene: Scene) -> None:
         self.scene = scene

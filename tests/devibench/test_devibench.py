@@ -1,5 +1,7 @@
 """Tests for the DeViBench data model, pipeline stages, evaluation and stats."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from repro.devibench import (
     format_table1,
     table1_rows,
 )
+from repro.video import Scene, make_sports_scene, psnr
 from repro.video.scene import CATEGORY_TEXT_RICH, build_scene_corpus
 
 
@@ -134,6 +137,50 @@ class TestVideoCollection:
         collection = VideoCollection.synthetic(video_count=2, seed=1, **SMALL)
         assert len(collection.scenes) == 2
 
+    def test_prepare_renders_each_sampled_frame_once(self, monkeypatch):
+        calls = []
+        render = Scene.render
+
+        def counting_render(scene, frame_index):
+            calls.append(frame_index)
+            return render(scene, frame_index)
+
+        monkeypatch.setattr(Scene, "render", counting_render)
+        collection = VideoCollection.synthetic(video_count=1, seed=0, height=96, width=160)
+        video = collection.prepare(collection.scenes[0])
+        assert calls == [frame.frame_id for frame in video.original_frames]
+        assert len(calls) == 3
+
+    def test_prepare_output_is_pinned(self):
+        # Degraded pixels and achieved bitrates of a fixed corpus, so a change
+        # to frame sampling or the 200 Kbps rendition shows up bit for bit.
+        collection = VideoCollection.synthetic(video_count=2, seed=0, height=96, width=160)
+        digest = hashlib.sha256()
+        bitrates = []
+        for video in collection.prepare_all():
+            for frame in video.degraded_frames:
+                digest.update(np.ascontiguousarray(frame.pixels).tobytes())
+            bitrates.append(video.achieved_bitrate_bps)
+        assert digest.hexdigest() == "92ab9be53923224b0ebaae9af01ff2022e75a0fe3c2012c0719b9fe9953e9292"
+        assert bitrates == [199820.0, 201144.66666666666]
+
+    def test_prepare_hits_the_low_bitrate(self):
+        scene = make_sports_scene(0, height=96, width=160)
+        video = VideoCollection(scenes=[scene], low_bitrate_bps=120_000).prepare(scene)
+        assert video.achieved_bitrate_bps == pytest.approx(120_000, rel=0.2)
+
+    def test_lower_bitrate_means_lower_psnr(self):
+        scene = make_sports_scene(0, height=96, width=160)
+
+        def mean_psnr(low_bitrate_bps):
+            collection = VideoCollection(scenes=[scene], low_bitrate_bps=low_bitrate_bps, frames_per_video=2)
+            video = collection.prepare(scene)
+            return np.mean(
+                [psnr(o.pixels, d.pixels) for o, d in zip(video.original_frames, video.degraded_frames)]
+            )
+
+        assert mean_psnr(100_000) < mean_psnr(2_000_000)
+
 
 class TestGeneration:
     def test_prompt_contains_required_sections(self):
@@ -237,7 +284,7 @@ class TestEvaluator:
         benchmark = pipeline_report.benchmark
         if len(benchmark) < 2:
             pytest.skip("tiny corpus produced too few samples")
-        evaluator = BenchmarkEvaluator(benchmark, rate_fps=2.0)
+        evaluator = BenchmarkEvaluator(benchmark)
         low = evaluator.evaluate(40_000.0, context_aware=False)
         high = evaluator.evaluate(800_000.0, context_aware=False)
         assert high.accuracy >= low.accuracy
@@ -246,19 +293,19 @@ class TestEvaluator:
         benchmark = pipeline_report.benchmark
         if len(benchmark) < 2:
             pytest.skip("tiny corpus produced too few samples")
-        evaluator = BenchmarkEvaluator(benchmark, rate_fps=2.0)
+        evaluator = BenchmarkEvaluator(benchmark)
         baseline = evaluator.evaluate(60_000.0, context_aware=False)
         ours = evaluator.evaluate(60_000.0, context_aware=True)
         assert ours.accuracy >= baseline.accuracy
 
     @pytest.mark.parametrize("max_samples", [0, -1])
     def test_max_samples_below_one_rejected(self, pipeline_report, max_samples):
-        evaluator = BenchmarkEvaluator(pipeline_report.benchmark, rate_fps=2.0)
+        evaluator = BenchmarkEvaluator(pipeline_report.benchmark)
         with pytest.raises(ValueError, match="max_samples"):
             evaluator.evaluate(60_000.0, context_aware=False, max_samples=max_samples)
 
     def test_max_samples_caps_evaluated_samples(self, pipeline_report):
-        evaluator = BenchmarkEvaluator(pipeline_report.benchmark, rate_fps=2.0)
+        evaluator = BenchmarkEvaluator(pipeline_report.benchmark)
         result = evaluator.evaluate(60_000.0, context_aware=False, max_samples=1)
         assert len(result.evaluations) == 1
 

@@ -1,4 +1,4 @@
-"""Tests for the block codec, rate control, GOP structure, quality and transcoding."""
+"""Tests for the block codec, rate control and quality metrics."""
 
 import dataclasses
 
@@ -17,7 +17,6 @@ from repro.video import (
     mse,
     psnr,
     region_quality,
-    transcode_to_bitrate,
 )
 from repro.video.rate_control import (
     achieved_bitrate_bps,
@@ -270,37 +269,3 @@ class TestQualityMetrics:
         assert report.psnr_db > 0
         with pytest.raises(ValueError):
             region_quality(scene_frame, decoded, (10, 10, 0, 64))
-
-
-class TestTranscode:
-    def test_transcode_hits_target(self):
-        scene = make_sports_scene(0, height=96, width=160)
-        result = transcode_to_bitrate(
-            scene.to_source(), 60_000, max_frames=3, frame_stride=30, rate_fps=1.0
-        )
-        assert result.achieved_bitrate_bps == pytest.approx(60_000, rel=0.2)
-        assert len(result.frames) == 3
-        assert np.isfinite(result.mean_psnr_db)
-
-    def test_lower_bitrate_means_lower_psnr(self):
-        scene = make_sports_scene(0, height=96, width=160)
-        high = transcode_to_bitrate(scene.to_source(), 2_000_000, max_frames=2, frame_stride=30)
-        low = transcode_to_bitrate(scene.to_source(), 100_000, max_frames=2, frame_stride=30)
-        assert low.mean_psnr_db < high.mean_psnr_db
-
-    def test_default_rate_fps_is_source_fps(self):
-        # A 200 Kbps budget spread over the 30 FPS source leaves ~6.7 kbit per
-        # frame, so the rendition must be visibly degraded (the DeViBench
-        # preprocessing regime).
-        scene = make_sports_scene(0, height=96, width=160)
-        result = transcode_to_bitrate(scene.to_source(), 200_000, max_frames=2, frame_stride=30)
-        assert result.mean_psnr_db < 40.0
-        assert result.rate_control[0].encoded.total_bits < 20_000
-
-    def test_invalid_stride_and_rate_fps(self):
-        scene = make_sports_scene(0, height=96, width=160)
-        with pytest.raises(ValueError):
-            transcode_to_bitrate(scene.to_source(), 200_000, frame_stride=0)
-        with pytest.raises(ValueError):
-            transcode_to_bitrate(scene.to_source(), 200_000, rate_fps=0.0)
-

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.video import (
-    ArrayVideoSource,
     SCENE_BUILDERS,
     Scene,
     SceneFact,
@@ -36,31 +35,6 @@ class TestVideoFrame:
         clone = frame.copy()
         clone.pixels[0, 0] = 99
         assert frame.pixels[0, 0] == 0
-
-
-class TestArrayVideoSource:
-    def test_iteration_and_timestamps(self):
-        frames = [np.full((8, 8), i, dtype=float) for i in range(5)]
-        source = ArrayVideoSource(frames, fps=10.0)
-        collected = list(source)
-        assert len(collected) == 5
-        assert collected[3].timestamp == pytest.approx(0.3)
-        assert source.duration_s == pytest.approx(0.5)
-
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ValueError):
-            ArrayVideoSource([], fps=30)
-        with pytest.raises(ValueError):
-            ArrayVideoSource([np.zeros((4, 4)), np.zeros((5, 5))])
-
-    def test_out_of_range_index(self):
-        source = ArrayVideoSource([np.zeros((4, 4))])
-        with pytest.raises(IndexError):
-            source.frame_at(1)
-
-    def test_raw_bitrate(self):
-        source = ArrayVideoSource([np.zeros((100, 100))], fps=30)
-        assert source.raw_bitrate_bps(bits_per_pixel=8) == pytest.approx(100 * 100 * 8 * 30)
 
 
 class TestDownsampling:
