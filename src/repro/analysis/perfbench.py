@@ -1,15 +1,15 @@
 """The fast-vs-reference equivalence gate of ``net/``.
 
 ``net/`` runs every simulation on a vectorized fast path (block drop
-sampling, bisect trace lookups, batched block delivery, numpy XOR parity)
-and keeps a scalar reference path behind ``REPRO_NET_FASTPATH=0``: per-packet
-RNG draws, linear-scan trace lookups, per-packet delivery and per-byte XOR.
-:func:`equivalence_report` runs the same seeded inputs through both paths and
-returns one named boolean per observable that must match: drop sequences
-(Bernoulli and Gilbert-Elliott), ``rate_at`` lookups, end-to-end session
-statistics (including jittered and single-packet-frame sessions that stress
-the batched delivery path), FEC parity and recovered bytes, FEC and
-closed-loop session trajectories, and the serialized telemetry stream.
+sampling, bisect trace lookups, batched block delivery) and keeps a scalar
+reference path behind ``REPRO_NET_FASTPATH=0``: per-packet RNG draws,
+linear-scan trace lookups and per-packet delivery.  :func:`equivalence_report`
+runs the same seeded inputs through both paths and returns one named boolean
+per observable that must match: drop sequences (Bernoulli and
+Gilbert-Elliott), ``rate_at`` lookups, end-to-end session statistics
+(including jittered and single-packet-frame sessions that stress the batched
+delivery path), FEC and closed-loop session trajectories, and the serialized
+telemetry stream.
 
 Speed is measured elsewhere: ``benchmarks/e2e`` times whole ops of the
 current code, layer by layer.
@@ -33,8 +33,7 @@ from ..net.emulator import (
     LossModel,
     PathConfig,
 )
-from ..net.fec import FecConfig, FecDecoder, FecEncoder
-from ..net.packet import FrameAssembler, Packetizer
+from ..net.fec import FecConfig
 from ..net.transport import (
     FixedBitrateWorkload,
     TransportConfig,
@@ -251,46 +250,6 @@ def _run_telemetry_stream(
     return telemetry.sim_stream()
 
 
-def _run_fec_codec(frames: int) -> tuple[int, int, tuple[bytes, ...]]:
-    """XOR-FEC encode/decode over payload-carrying packets.
-
-    Every frame drops one data packet, so each frame exercises parity
-    coding *and* payload reconstruction.  Returns (parity packets,
-    recovered packets, every parity and recovered payload in order), so the
-    equivalence gate compares the bytes of the per-byte scalar XOR and the
-    vectorized uint8 XOR themselves.
-    """
-    packetizer = Packetizer()
-    encoder = FecEncoder(FecConfig(group_size=5))
-    decoder = FecDecoder(FecConfig(group_size=5))
-    assembler = FrameAssembler()
-    payload_pool = bytes(range(256)) * 120  # > frame size; sliced per packet
-    parity_count = 0
-    payloads: list[bytes] = []
-    for frame_id in range(frames):
-        now = frame_id / 30.0
-        packets = packetizer.packetize(frame_id, 28_000, now)
-        position = 0
-        for packet in packets:
-            packet.payload = payload_pool[position : position + packet.size_bytes]
-            position += packet.size_bytes
-        parity = encoder.protect(packets, packetizer)
-        parity_count += len(parity)
-        for packet in packets:
-            # Deterministically drop one packet per frame so every frame
-            # exercises the recovery path.
-            if packet.index_in_frame == 3:
-                continue
-            decoder.on_data_packet(packet, assembler)
-            assembler.on_packet(packet, now)
-        for fec_packet in parity:
-            payloads.append(fec_packet.payload)
-            for recovered in decoder.on_fec_packet(fec_packet, assembler):
-                payloads.append(recovered.payload)
-                assembler.on_packet(recovered, now)
-    return parity_count, decoder.recovered_packets, tuple(payloads)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence checks
 # ---------------------------------------------------------------------------
@@ -382,14 +341,6 @@ def equivalence_report(session_duration_s: float = 2.0) -> dict[str, bool]:
         with fastpath_mode(True):
             fast = _run_session(session_duration_s, _clone_model(model), None, **kwargs)
         checks[f"session_stats_identical_{label}"] = scalar == fast
-
-    # XOR parity coding: per-byte reference bytes == vectorized uint8 bytes,
-    # parity payloads and recovered payloads alike.
-    with fastpath_mode(False):
-        fec_scalar = _run_fec_codec(40)
-    with fastpath_mode(True):
-        fec_fast = _run_fec_codec(40)
-    checks["fec_payload_bytes_identical"] = fec_scalar == fec_fast
 
     # FEC sessions deliver per packet with block drop sampling and bisect
     # trace lookups; their stats must match the scalar reference bit-for-bit —

@@ -8,7 +8,8 @@ user↔MLLM dialogue turn:
 2. the encoded frames are packetised and shipped over the emulated uplink
    with NACK-based loss recovery;
 3. the receiver hands the delivered frames — ordered by capture timestamp,
-   with or without a jitter buffer — to the receiver-side sampler;
+   with or without a jitter buffer — to the MLLM, already at its ingestion
+   rate;
 4. the simulated MLLM answers the user's question from whatever visual
    evidence survived compression and transmission;
 5. the response-latency budget of Section 1 is assembled from the measured
@@ -24,7 +25,6 @@ import numpy as np
 
 from ..mllm.inference import LatencyBudget
 from ..mllm.model import MODE_MULTIPLE_CHOICE, MllmAnswer, SimulatedMLLM
-from ..mllm.sampler import ReceiverSampler
 from ..net.emulator import PathConfig
 from ..net.jitter_buffer import JitterBuffer, PassthroughBuffer, frames_in_capture_order
 from ..net.transport import TransportConfig, VideoTransportSession
@@ -98,7 +98,6 @@ class AIVideoChatSession:
         streamer: Optional[ContextAwareStreamer] = None,
         baseline: Optional[UniformStreamer] = None,
         mllm: Optional[SimulatedMLLM] = None,
-        sampler: Optional[ReceiverSampler] = None,
     ) -> None:
         self.scene = scene
         self.config = session_config or ChatSessionConfig()
@@ -107,7 +106,6 @@ class AIVideoChatSession:
         self.streamer = streamer or ContextAwareStreamer(StreamingConfig())
         self.baseline = baseline or UniformStreamer()
         self.mllm = mllm or SimulatedMLLM()
-        self.sampler = sampler or ReceiverSampler()
         #: One capture source per dialogue: every turn reuses its rendered frames.
         self.source = scene.to_source()
 

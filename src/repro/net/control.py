@@ -30,6 +30,7 @@ Two invariants shape the implementation:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -361,6 +362,16 @@ def controller_from_spec(spec: dict[str, Any]) -> SenderController:
         config = from_spec(ESTIMATOR_KINDS, params.pop("estimator", {}), default_kind="gcc")
         estimator_cls = GoogleCongestionControl if isinstance(config, GccConfig) else AimdController
         abr = from_spec(ABR_KINDS, params.pop("abr", {}), default_kind="throughput")
+        # The keyword-only parameters are the spec fields; estimator and
+        # abr are the nested specs popped above.
+        known = {
+            name
+            for name, parameter in inspect.signature(ClosedLoopController).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+        unknown = sorted(set(params) - known)
+        if unknown:
+            raise ConfigError(f"unknown ClosedLoopController field(s): {unknown}")
         return ClosedLoopController(estimator_cls(config), abr, **params)
     raise ConfigError(f"unknown controller kind: {kind!r}")
 

@@ -305,10 +305,6 @@ class PathConfig:
     jitter_std_s: float = 0.0
     bandwidth_trace: Optional[BandwidthTrace] = None
     seed: int = 0
-    #: Packets per block drawn from the loss model at once.  ``None`` picks
-    #: the default block size (or 1 — per-packet scalar draws — when the
-    #: fast path is disabled via ``REPRO_NET_FASTPATH=0``).
-    drop_block_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.bandwidth_bps <= 0:
@@ -319,8 +315,6 @@ class PathConfig:
             raise ValueError("queue_capacity_bytes must be positive")
         if self.jitter_std_s < 0:
             raise ValueError("jitter_std_s must be non-negative")
-        if self.drop_block_size is not None and self.drop_block_size < 1:
-            raise ValueError("drop_block_size must be at least 1")
 
 
 @dataclass
@@ -386,21 +380,19 @@ class EmulatedPath:
         # a given seed are identical whether drawn per packet or in blocks
         # (interleaved normal draws would shift the uniform stream).
         self._jitter_rng = np.random.default_rng((config.seed, 0x6A177E12))
-        block = config.drop_block_size
-        if block is None:
-            block = DEFAULT_DROP_BLOCK_SIZE if fastpath_enabled() else 1
+        block = DEFAULT_DROP_BLOCK_SIZE if fastpath_enabled() else 1
         if not hasattr(config.loss_model, "sample_drops"):
             # Duck-typed models that only implement should_drop stay scalar.
             block = 1
-        self._drop_block_size = int(block)
+        self._refill_size = block
         self._drop_block_np = np.zeros(0, dtype=bool)
         if block > 1:
             # Block refill draws decisions ahead of consumption, which would
             # advance a *shared* stateful model (Gilbert-Elliott chain state)
             # past what this path actually sent.  The path therefore owns a
             # snapshot of the model taken at construction; callers that need
-            # one chain threaded across several paths/sessions must use
-            # ``drop_block_size=1`` (exact scalar semantics).
+            # one chain threaded across several paths/sessions must run
+            # with ``REPRO_NET_FASTPATH=0`` (exact scalar semantics).
             import copy
 
             self._loss_model = copy.deepcopy(config.loss_model)
@@ -426,12 +418,12 @@ class EmulatedPath:
         path; either way the decision sequence for a given seed is identical
         because block sampling consumes the RNG stream in the same order.
         """
-        if self._drop_block_size <= 1:
+        if self._refill_size <= 1:
             return self._loss_model.should_drop(self._rng)
         pos = self._drop_pos
         if pos >= len(self._drop_block):
             self._drop_block_np = self._loss_model.sample_drops(
-                self._rng, self._drop_block_size
+                self._rng, self._refill_size
             )
             self._drop_block = self._drop_block_np.tolist()
             pos = 0
@@ -445,7 +437,7 @@ class EmulatedPath:
         sends and per-packet sends (retransmissions) consumes the loss
         model's RNG stream exactly as ``n`` scalar calls would.
         """
-        if self._drop_block_size <= 1:
+        if self._refill_size <= 1:
             return np.fromiter(
                 (self._loss_model.should_drop(self._rng) for _ in range(n)),
                 dtype=bool,
@@ -459,7 +451,7 @@ class EmulatedPath:
         parts = [block[pos:]]
         need = n - (len(block) - pos)
         while need > 0:
-            fresh = self._loss_model.sample_drops(self._rng, self._drop_block_size)
+            fresh = self._loss_model.sample_drops(self._rng, self._refill_size)
             take = min(need, len(fresh))
             parts.append(fresh[:take])
             if take < len(fresh):

@@ -2,73 +2,33 @@
 
 Traditional RTC stacks (the paper cites Tambur, Hairpin, GRACE) add parity
 packets so that a limited number of losses can be repaired without waiting a
-round trip for retransmission.  We implement XOR-parity FEC over fixed-size
+round trip for retransmission.  We model XOR-parity FEC over fixed-size
 groups of a frame's packets: one parity packet per group repairs any single
-loss inside that group.  The AI-oriented transport can trade this redundancy
-off against the ultra-low-bitrate operating point of Section 2.2.
+loss inside that group.  Like the rest of the transport it works on packet
+sizes and arrival instants, never on payload bytes.  The AI-oriented
+transport can trade this redundancy off against the ultra-low-bitrate
+operating point of Section 2.2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-import numpy as np
+from .packet import (
+    MAX_NACK_ROUNDS,
+    NACK_RETRY_INTERVAL_S,
+    FrameAssembler,
+    Packet,
+    PacketType,
+)
 
-from .emulator import fastpath_enabled
-from .packet import Packet, PacketType
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .packet import FrameAssembler, Packetizer
-
-
-def _xor_payloads_scalar(payloads: list[bytes], size: int) -> bytes:
-    """Reference XOR over python bytearrays, one byte at a time.
-
-    This is the shape of parity coding most textbook implementations start
-    from; it allocates a fresh buffer per group and pays a Python-level loop
-    per byte.  Kept as the ``REPRO_NET_FASTPATH=0`` reference the vectorized
-    path is checked against.
-    """
-    out = bytearray(size)
-    for payload in payloads:
-        for i, byte in enumerate(payload):
-            out[i] ^= byte
-    return bytes(out)
-
-
-class _XorScratch:
-    """Reusable ``numpy.uint8`` scratch for XOR parity.
-
-    One buffer is reused across groups so steady-state coding performs no
-    allocations beyond the final ``tobytes`` copy.
-    """
-
-    __slots__ = ("_buffer",)
-
-    def __init__(self) -> None:
-        self._buffer: Optional[np.ndarray] = None
-
-    def xor(self, payloads: list[bytes], size: int) -> bytes:
-        buffer = self._buffer
-        if buffer is None or len(buffer) < size:
-            self._buffer = buffer = np.zeros(max(2048, size), dtype=np.uint8)
-        view = buffer[:size]
-        view[:] = 0
-        for payload in payloads:
-            view[: len(payload)] ^= np.frombuffer(payload, dtype=np.uint8)
-        return view.tobytes()
-
-
-def xor_payloads(
-    payloads: list[bytes], size: int, scratch: Optional[_XorScratch] = None
-) -> Optional[bytes]:
-    """XOR ``payloads`` (zero-padded to ``size``); None if any is missing."""
-    if not payloads or any(p is None for p in payloads):
-        return None
-    if scratch is not None:
-        return scratch.xor(payloads, size)
-    return _xor_payloads_scalar(payloads, size)
+#: Sender-clock seconds before an incomplete frame's decoder state (pending
+#: parity, seen packets) is considered abandoned: a few retry intervals past
+#: the NACK machinery's give-up point, so pruning never races an ongoing
+#: repair and late retransmissions still in flight can combine with pending
+#: parity.
+STALE_TIMEOUT_S = (MAX_NACK_ROUNDS + 4) * NACK_RETRY_INTERVAL_S
 
 
 @dataclass(slots=True)
@@ -96,16 +56,12 @@ class FecEncoder:
     def __init__(self, config: FecConfig) -> None:
         self.config = config
         self._next_fec_sequence = 0
-        # Payload coding mode is fixed at construction, like every other
-        # fast-path toggle: numpy uint8 views vs the per-byte reference.
-        self._scratch = _XorScratch() if fastpath_enabled() else None
 
-    def protect(self, packets: list[Packet], packetizer: "Packetizer" = None) -> list[Packet]:
+    def protect(self, packets: list[Packet]) -> list[Packet]:
         """Build one parity packet per ``group_size`` consecutive data packets.
 
-        When the covered packets carry payloads, the parity packet carries
-        their XOR (zero-padded to the group's largest payload), so a single
-        loss per group is recoverable bit-for-bit.
+        A parity packet is as large as its group's largest member, and its
+        metadata names the covered indices and their sizes.
         """
         parity_packets: list[Packet] = []
         group = self.config.group_size
@@ -113,7 +69,6 @@ class FecEncoder:
             members = packets[start : start + group]
             covered = tuple(p.index_in_frame for p in members)
             size = max(p.size_bytes for p in members)
-            payload = xor_payloads([p.payload for p in members], size, self._scratch)
             parity = Packet(
                 sequence=self._next_fec_sequence,
                 frame_id=members[0].frame_id,
@@ -122,7 +77,6 @@ class FecEncoder:
                 size_bytes=size,
                 capture_time=members[0].capture_time,
                 packet_type=PacketType.FEC,
-                payload=payload,
                 metadata={"covers": covered, "sizes": tuple(p.size_bytes for p in members)},
             )
             self._next_fec_sequence += 1
@@ -135,8 +89,8 @@ class FecDecoder:
 
     The decoder tracks which data packets of each frame have been seen.  When
     a parity packet arrives and exactly one of its covered packets is
-    missing, that packet is reconstructed (its size is taken from the parity
-    metadata — for latency accounting the payload content is irrelevant).
+    missing, that packet is reconstructed with its own size from the parity
+    metadata (the simulation carries sizes, not bytes).
     A covered packet only counts as missing once there is loss evidence (see
     :meth:`_has_loss_evidence`); until then parity is held pending so that
     jitter-reordered packets still in flight are not "recovered" and later
@@ -151,21 +105,9 @@ class FecDecoder:
     # How many frames of reordering to tolerate before giving up on an
     # original confirming a reconstruction as spurious.
     _UNCONFIRMED_HORIZON_FRAMES = 8
-    # Sender-clock seconds before an incomplete frame's decoder state
-    # (pending parity, seen packets) is considered abandoned.  The default
-    # exceeds the default NACK give-up point (max_nack_rounds ×
-    # nack_retry_interval_s ≈ 1.3 s) so pruning never races an ongoing
-    # repair; the transport passes a value derived from its actual config.
-    DEFAULT_STALE_TIMEOUT_S = 2.0
 
-    def __init__(
-        self, config: Optional[FecConfig], stale_timeout_s: Optional[float] = None
-    ) -> None:
+    def __init__(self, config: Optional[FecConfig]) -> None:
         self.config = config
-        self.stale_timeout_s = (
-            self.DEFAULT_STALE_TIMEOUT_S if stale_timeout_s is None else stale_timeout_s
-        )
-        self._scratch = _XorScratch() if fastpath_enabled() else None
         self._seen: dict[int, dict[int, Packet]] = {}
         self._pending_parity: dict[int, list[Packet]] = {}
         self._unconfirmed: dict[int, set[int]] = {}
@@ -310,46 +252,21 @@ class FecDecoder:
         # reconstructed packet must not be mistaken for the video-space
         # packet of the same number (it would cancel that packet's
         # sequence-gap NACK).  Gap tracking skips negative sequences.
+        covers = parity.metadata["covers"]
         recovered = Packet(
             sequence=-1,
             frame_id=parity.frame_id,
             index_in_frame=index,
             packets_in_frame=parity.packets_in_frame,
-            size_bytes=parity.size_bytes,
+            size_bytes=parity.metadata["sizes"][covers.index(index)],
             capture_time=parity.capture_time,
             send_time=parity.send_time,
             packet_type=PacketType.VIDEO,
-            payload=self._recover_payload(parity, index),
             metadata={"recovered_by_fec": True},
         )
         self._seen.setdefault(parity.frame_id, {})[index] = recovered
         self._unconfirmed.setdefault(parity.frame_id, set()).add(index)
         self.recovered_packets += 1
-        return recovered
-
-    def _recover_payload(self, parity: Packet, index: int) -> Optional[bytes]:
-        """Rebuild the missing packet's bytes: parity XOR the survivors.
-
-        Returns None when the parity carries no payload (size-only
-        simulation) or any surviving packet's payload is unavailable.
-        """
-        if parity.payload is None:
-            return None
-        covers = parity.metadata.get("covers", ())
-        seen = self._seen.get(parity.frame_id, {})
-        payloads: list[bytes] = [parity.payload]
-        for covered in covers:
-            if covered == index:
-                continue
-            survivor = seen.get(covered)
-            if survivor is None or survivor.payload is None:
-                return None
-            payloads.append(survivor.payload)
-        recovered = xor_payloads(payloads, parity.size_bytes, self._scratch)
-        sizes = parity.metadata.get("sizes")
-        if recovered is not None and sizes is not None:
-            position = covers.index(index)
-            recovered = recovered[: sizes[position]]
         return recovered
 
     def _confirm_spurious(self, packet: Packet) -> None:
@@ -378,7 +295,7 @@ class FecDecoder:
 
         Reconstructions too old for a late original to still show up stand
         as real repairs; frames whose capture time is more than
-        ``stale_timeout_s`` behind the newest — past the NACK machinery's
+        :data:`STALE_TIMEOUT_S` behind the newest — past the NACK machinery's
         give-up point — release their pending parity and seen packets
         (frames that complete are purged promptly by
         :meth:`on_frame_complete` — this catches the ones that never do).
@@ -386,7 +303,7 @@ class FecDecoder:
         horizon = self._highest_frame_seen - self._UNCONFIRMED_HORIZON_FRAMES
         for frame_id in [f for f in self._unconfirmed if f < horizon]:
             del self._unconfirmed[frame_id]
-        cutoff = self._latest_capture_time - self.stale_timeout_s
+        cutoff = self._latest_capture_time - STALE_TIMEOUT_S
         for frame_id, parities in list(self._pending_parity.items()):
             if parities[0].capture_time < cutoff:
                 del self._pending_parity[frame_id]

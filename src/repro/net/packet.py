@@ -19,10 +19,18 @@ import numpy as np
 #: Default payload size used by the paper's prototype ("around 1400 bytes").
 DEFAULT_MTU_BYTES = 1400
 
+#: Extra margin after a frame's final packet (or a sequence gap) arrives
+#: before the receiver first checks for missing packets.
+NACK_CHECK_MARGIN_S = 0.005
+#: Interval between successive NACK rounds (roughly one RTT in WebRTC).
+NACK_RETRY_INTERVAL_S = 0.065
+#: Retransmission rounds after which the receiver gives up on a frame.
+MAX_NACK_ROUNDS = 20
+
 #: Sequence slots tracked by :class:`SequenceWindow`.  At the default the
 #: window spans several seconds of traffic even at high packet rates, far
-#: beyond the NACK machinery's give-up horizon (``max_nack_rounds ×
-#: nack_retry_interval_s`` ≈ 1.3 s), so eviction only ever discards
+#: beyond the NACK machinery's give-up horizon (``MAX_NACK_ROUNDS ×
+#: NACK_RETRY_INTERVAL_S`` ≈ 1.3 s), so eviction only ever discards
 #: sequences whose retransmission rounds are already exhausted.
 DEFAULT_SEQUENCE_WINDOW = 4096
 
@@ -56,7 +64,6 @@ class Packet:
     capture_time: float
     send_time: float = 0.0
     packet_type: PacketType = PacketType.VIDEO
-    payload: Optional[bytes] = None
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -238,10 +245,6 @@ class FrameAssembler:
         expected = self._expected[frame_id]
         have = self._received[frame_id]
         return tuple(index for index in range(expected) if index not in have)
-
-    def has_packet(self, frame_id: int, index: int) -> bool:
-        """Whether packet ``index`` of ``frame_id`` has already been received."""
-        return index in self._received.get(frame_id, set())
 
     def is_complete(self, frame_id: int) -> bool:
         return frame_id in self._complete_time

@@ -28,7 +28,9 @@ from .emulator import BernoulliLoss, EmulatedPath, PathConfig, fastpath_enabled
 from .events import DeadlineScheduler, EventLoop
 from .fec import FecConfig, FecEncoder, FecDecoder
 from .packet import (
-    DEFAULT_MTU_BYTES,
+    MAX_NACK_ROUNDS,
+    NACK_CHECK_MARGIN_S,
+    NACK_RETRY_INTERVAL_S,
     FrameAssembler,
     FrameTable,
     NackRequest,
@@ -49,17 +51,14 @@ FRAME_LATENCY_BUCKETS_S = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1.0, 2.0)
 
 @dataclass(slots=True)
 class TransportConfig:
-    """Configuration of the unidirectional video transport."""
+    """Configuration of the unidirectional video transport.
 
-    mtu_bytes: int = DEFAULT_MTU_BYTES
+    Packet size and NACK timing are the module constants of
+    :mod:`repro.net.packet` (``DEFAULT_MTU_BYTES``, ``NACK_*``,
+    ``MAX_NACK_ROUNDS``).
+    """
+
     enable_nack: bool = True
-    #: Extra margin added to the estimated frame delivery time before the
-    #: receiver first checks for missing packets.
-    nack_check_margin_s: float = 0.005
-    #: Interval between successive NACK rounds (roughly one RTT in WebRTC).
-    nack_retry_interval_s: float = 0.065
-    #: Retransmission rounds after which the receiver gives up on a frame.
-    max_nack_rounds: int = 20
     #: Optional forward error correction applied per frame.
     fec: Optional[FecConfig] = None
     #: Interval between RTCP-style receiver reports on the feedback path;
@@ -140,7 +139,7 @@ class VideoSender:
         self.uplink = uplink
         self.config = config
         self.stats = stats
-        self.packetizer = Packetizer(config.mtu_bytes)
+        self.packetizer = Packetizer()
         self._block_mode = block_mode
         self._sent_packets: dict[int, dict[int, Packet]] = {}
         self._packet_by_sequence: dict[int, Packet] = {}
@@ -154,7 +153,7 @@ class VideoSender:
         self._last_retransmit_time: dict[int, float] = {}
         self._fec_encoder = FecEncoder(config.fec) if config.fec else None
         #: Latest controller-set target; ``None`` until an action arrives.
-        #: Drivers derive frame sizes from this (see ``drive_closed_loop``).
+        #: Drivers derive frame sizes from this (see ``drive_fixed_bitrate``).
         self.target_bitrate_bps: Optional[float] = None
         self.bytes_sent = 0
         self.packets_sent = 0
@@ -225,7 +224,7 @@ class VideoSender:
         for packet in packets:
             self._transmit(packet)
         if self._fec_encoder is not None:
-            for fec_packet in self._fec_encoder.protect(packets, self.packetizer):
+            for fec_packet in self._fec_encoder.protect(packets):
                 self._transmit(fec_packet)
         return packets
 
@@ -237,20 +236,17 @@ class VideoSender:
 
     def _retransmit(self, original: Packet, request_time: float) -> bool:
         """Retransmit a packet unless it was resent very recently (dedup)."""
-        last = self._last_retransmit_time.get(original.sequence)
-        if last is not None and self.loop.now - last < self.config.nack_retry_interval_s / 2:
+        if not self._claim_retransmission(original.sequence):
             return False
-        self._last_retransmit_time[original.sequence] = self.loop.now
         copy = self.packetizer.retransmission_copy(original, request_time)
         self._transmit(copy)
         self.retransmissions_sent += 1
         return True
 
-    def _claim_retransmission(self, context: BurstContext, index: int) -> bool:
+    def _claim_retransmission(self, sequence: int) -> bool:
         """Dedup gate: skip a sequence retransmitted very recently."""
-        sequence = context.first_sequence + index
         last = self._last_retransmit_time.get(sequence)
-        if last is not None and self.loop.now - last < self.config.nack_retry_interval_s / 2:
+        if last is not None and self.loop.now - last < NACK_RETRY_INTERVAL_S / 2:
             return False
         self._last_retransmit_time[sequence] = self.loop.now
         return True
@@ -293,7 +289,8 @@ class VideoSender:
             entries = [
                 (context, index)
                 for index in request.missing_indices
-                if 0 <= index < context.count and self._claim_retransmission(context, index)
+                if 0 <= index < context.count
+                and self._claim_retransmission(context.first_sequence + index)
             ]
             if entries:
                 self.stats.record_retransmission(request.frame_id, len(entries))
@@ -322,7 +319,7 @@ class VideoSender:
                 if resolved is None:
                     continue
                 context, index = resolved
-                if self._claim_retransmission(context, index):
+                if self._claim_retransmission(sequence):
                     entries.append(resolved)
                     retransmitted_by_frame[context.frame_id] = (
                         retransmitted_by_frame.get(context.frame_id, 0) + 1
@@ -374,17 +371,7 @@ class VideoReceiver:
         self._on_frame = on_frame
         self._nack_rounds: dict[int, int] = {}
         self._check_scheduled: set[int] = set()
-        # Decoder state for an incomplete frame outlives the NACK machinery's
-        # give-up point by a few retry intervals (late retransmissions still
-        # in flight can combine with pending parity).
-        self._fec_decoder = (
-            FecDecoder(
-                config.fec,
-                stale_timeout_s=(config.max_nack_rounds + 4) * config.nack_retry_interval_s,
-            )
-            if config.fec
-            else None
-        )
+        self._fec_decoder = FecDecoder(config.fec) if config.fec else None
         self._fec_flush_scheduled: set[int] = set()
         self.delivered_frames: list[FrameDeliveryEvent] = []
         # Sequence-gap tracking (covers frames whose packets were all lost).
@@ -479,7 +466,7 @@ class VideoReceiver:
             return
         self._fec_flush_scheduled.add(frame_id)
         self.loop.schedule(
-            self.config.nack_retry_interval_s, lambda: self._flush_fec(frame_id)
+            NACK_RETRY_INTERVAL_S, lambda: self._flush_fec(frame_id)
         )
 
     def _flush_fec(self, frame_id: int) -> None:
@@ -503,7 +490,7 @@ class VideoReceiver:
             # Only once the frame's final packet has arrived do we know the
             # remaining holes are losses rather than packets still in flight.
             self._check_scheduled.add(frame_id)
-            self.loop.schedule(self.config.nack_check_margin_s, lambda: self._check_frame(frame_id))
+            self.loop.schedule(NACK_CHECK_MARGIN_S, lambda: self._check_frame(frame_id))
 
     def _complete_frame(self, frame_id: int, complete_time: float) -> None:
         self.stats.record_completion(frame_id, complete_time)
@@ -528,7 +515,7 @@ class VideoReceiver:
         if not missing:
             return
         rounds = self._nack_rounds.get(frame_id, 0)
-        if rounds >= self.config.max_nack_rounds:
+        if rounds >= MAX_NACK_ROUNDS:
             return
         self._nack_rounds[frame_id] = rounds + 1
         request = NackRequest(
@@ -537,7 +524,7 @@ class VideoReceiver:
             request_time=self.loop.now,
         )
         self._send_nack(request)
-        self.loop.schedule(self.config.nack_retry_interval_s, lambda: self._check_frame(frame_id))
+        self.loop.schedule(NACK_RETRY_INTERVAL_S, lambda: self._check_frame(frame_id))
 
     # --- batched delivery (fast path) ------------------------------------
 
@@ -631,7 +618,7 @@ class VideoReceiver:
                 # tie_time: the scalar path arms this check while processing
                 # the frame's final packet, i.e. at that packet's arrival.
                 self._deadlines.schedule_at(
-                    t_last + config.nack_check_margin_s,
+                    t_last + NACK_CHECK_MARGIN_S,
                     lambda frame_id=context.frame_id: self._frame_check_fire(frame_id),
                     tie_time=t_last,
                     priority=1,
@@ -650,7 +637,7 @@ class VideoReceiver:
             # tie_time: the scalar path arms its chain while processing the
             # discovering packet, i.e. at the discovery instant.
             self._deadlines.schedule_at(
-                discovery + self.config.nack_check_margin_s,
+                discovery + NACK_CHECK_MARGIN_S,
                 self._sequence_chain_fire,
                 tie_time=discovery,
             )
@@ -730,7 +717,7 @@ class VideoReceiver:
         ):
             slot.check_armed = True
             self._deadlines.schedule_at(
-                arrival_time + self.config.nack_check_margin_s,
+                arrival_time + NACK_CHECK_MARGIN_S,
                 lambda: self._frame_check_fire(frame_id),
                 tie_time=arrival_time,
                 priority=1,
@@ -785,14 +772,14 @@ class VideoReceiver:
         missing = slot.missing_at(now)
         if not missing:
             return
-        if slot.nack_rounds >= self.config.max_nack_rounds:
+        if slot.nack_rounds >= MAX_NACK_ROUNDS:
             return
         slot.nack_rounds += 1
         self._send_nack(
             NackRequest(frame_id=frame_id, missing_indices=missing, request_time=now)
         )
         self._deadlines.schedule_at(
-            now + self.config.nack_retry_interval_s,
+            now + NACK_RETRY_INTERVAL_S,
             lambda: self._frame_check_fire(frame_id),
             priority=1,
         )
@@ -801,7 +788,7 @@ class VideoReceiver:
         """Deadline-driven twin of :meth:`_check_sequences` over the window."""
         self._seq_chain_pending = False
         now = self.loop.now
-        max_rounds = self.config.max_nack_rounds
+        max_rounds = MAX_NACK_ROUNDS
         gaps = self._window.gaps_at(now, max_rounds)
         if not len(gaps):
             # Batched recording can know of gaps whose discovery instant is
@@ -813,7 +800,7 @@ class VideoReceiver:
                 # tie_time: the scalar path would restart its chain while
                 # processing the packet arriving at the discovery instant.
                 self._deadlines.schedule_at(
-                    upcoming + self.config.nack_check_margin_s,
+                    upcoming + NACK_CHECK_MARGIN_S,
                     self._sequence_chain_fire,
                     tie_time=upcoming,
                 )
@@ -827,7 +814,7 @@ class VideoReceiver:
             self._send_sequence_nack(request)
         self._seq_chain_pending = True
         self._deadlines.schedule_at(
-            now + self.config.nack_retry_interval_s, self._sequence_chain_fire
+            now + NACK_RETRY_INTERVAL_S, self._sequence_chain_fire
         )
 
     # --- sequence-gap detection ------------------------------------------
@@ -860,14 +847,14 @@ class VideoReceiver:
             and self._sequence_gaps()
         ):
             self._sequence_check_pending = True
-            self.loop.schedule(self.config.nack_check_margin_s, self._check_sequences)
+            self.loop.schedule(NACK_CHECK_MARGIN_S, self._check_sequences)
 
     def _sequence_gaps(self) -> list[int]:
         """Sequence numbers below the highest seen that have not arrived."""
         return sorted(
             sequence
             for sequence in self._missing_sequences
-            if self._missing_sequence_rounds.get(sequence, 0) < self.config.max_nack_rounds
+            if self._missing_sequence_rounds.get(sequence, 0) < MAX_NACK_ROUNDS
         )
 
     def _check_sequences(self) -> None:
@@ -886,7 +873,7 @@ class VideoReceiver:
         if self._send_sequence_nack is not None:
             self._send_sequence_nack(request)
         self._sequence_check_pending = True
-        self.loop.schedule(self.config.nack_retry_interval_s, self._check_sequences)
+        self.loop.schedule(NACK_RETRY_INTERVAL_S, self._check_sequences)
 
 
 class VideoTransportSession:
@@ -946,8 +933,8 @@ class VideoTransportSession:
 
         # Batched block delivery carries frame bursts as arrays end-to-end.
         # FEC sessions always take the per-packet reference path (still with
-        # the per-decision fast path: block drop sampling, bisect trace
-        # lookups, numpy XOR): parity decode decisions are order-coupled to
+        # the per-decision fast path: block drop sampling and bisect trace
+        # lookups): parity decode decisions are order-coupled to
         # individual arrivals in ways run-granular recording does not
         # reproduce (see docs/PERFORMANCE.md for the contract).
         self.block_mode = fastpath_enabled() and self.transport_config.fec is None
@@ -1151,39 +1138,11 @@ class VideoTransportSession:
 
 @dataclass(slots=True)
 class FixedBitrateWorkload:
-    """A constant-bitrate video source: ``bitrate_bps`` split across ``fps`` frames.
-
-    ``iframe_interval`` and ``iframe_scale`` optionally make every Nth frame
-    larger, mimicking the I/P structure of a real encoder, while keeping the
-    long-run average at the target bitrate.
-    """
+    """A constant-bitrate video source: ``bitrate_bps`` split across ``fps``
+    equal frames of ``max(int(bitrate_bps / fps / 8), 1)`` bytes each."""
 
     bitrate_bps: float
     fps: float = 30.0
-    iframe_interval: int = 0
-    iframe_scale: float = 3.0
-    size_jitter: float = 0.0
-    seed: int = 0
-
-    def frame_sizes(self, count: int) -> np.ndarray:
-        if count <= 0:
-            return np.zeros(0, dtype=int)
-        base = self.bitrate_bps / self.fps / 8.0
-        sizes = np.full(count, base, dtype=float)
-        if self.iframe_interval and self.iframe_interval > 0:
-            is_iframe = np.arange(count) % self.iframe_interval == 0
-            n_i = int(is_iframe.sum())
-            n_p = count - n_i
-            if n_p > 0:
-                # Preserve the average: scale I-frames up, P-frames down.
-                p_scale = (count - n_i * self.iframe_scale) / n_p
-                p_scale = max(p_scale, 0.1)
-                sizes[is_iframe] = base * self.iframe_scale
-                sizes[~is_iframe] = base * p_scale
-        if self.size_jitter > 0:
-            rng = np.random.default_rng(self.seed)
-            sizes *= rng.normal(1.0, self.size_jitter, size=count).clip(0.3, 3.0)
-        return np.maximum(sizes, 1).astype(int)
 
 
 def drive_fixed_bitrate(
@@ -1193,60 +1152,28 @@ def drive_fixed_bitrate(
 ) -> None:
     """Feed ``duration_s`` of the workload's frames into ``session`` and run it.
 
-    One bulk conversion to native ints instead of a numpy-scalar unwrap per
-    scheduled frame; chained scheduling (each send schedules the next) keeps
-    one source event in the heap instead of one per frame — identical
-    timing, since the next capture instant never precedes the current one.
-    After the last frame the loop runs 5 more simulated seconds so in-flight
-    retransmissions settle.
-    """
-    frame_count = max(1, int(round(duration_s * workload.fps)))
-    sizes = workload.frame_sizes(frame_count).tolist()
-    interval = 1.0 / workload.fps
-
-    def _send(frame_id: int) -> None:
-        session.send_frame(frame_id, sizes[frame_id], capture_time=frame_id * interval)
-        if frame_id + 1 < frame_count:
-            session.loop.schedule_at(
-                (frame_id + 1) * interval, lambda: _send(frame_id + 1)
-            )
-
-    session.loop.schedule_at(0.0, lambda: _send(0))
-    session.run(until=duration_s + 5.0)
-
-
-def drive_closed_loop(
-    session: VideoTransportSession,
-    workload: FixedBitrateWorkload,
-    duration_s: float,
-) -> None:
-    """Adaptive twin of :func:`drive_fixed_bitrate`.
-
-    Each frame's size is derived from the sender's *current* target bitrate
-    at its capture instant, so controller actions applied between frames
-    re-shape the very next frame.  ``workload.bitrate_bps`` only seeds the
-    rate until the first action lands (a session constructed with a
-    controller applies its initial action up front, so with a controller the
-    workload rate is never used).  Frame send instants are the same fixed
-    fps grid as the open-loop driver, and actions apply at report-arrival
-    instants that are event-exact across delivery modes, so the closed-loop
-    frame stream is bit-identical between the scalar and batched paths.
+    Frames are captured on the workload's fixed fps grid.  Each frame's size
+    follows the sender's *current* target bitrate at its capture instant, so
+    controller actions applied between frames re-shape the very next frame;
+    until an action sets a target (never, without a controller) the
+    workload's ``bitrate_bps`` stands in.  A session constructed with a
+    controller applies its initial action up front, so there the workload
+    rate is never used.  Actions apply at report-arrival instants that are
+    event-exact across delivery modes, so the frame stream is bit-identical
+    between the scalar and batched paths.  Chained scheduling (each send
+    schedules the next) keeps one source event in the heap instead of one
+    per frame.  After the last frame the loop runs 5 more simulated seconds
+    so in-flight retransmissions settle.
     """
     frame_count = max(1, int(round(duration_s * workload.fps)))
     interval = 1.0 / workload.fps
-    jitter = None
-    if workload.size_jitter > 0:
-        rng = np.random.default_rng(workload.seed)
-        jitter = rng.normal(1.0, workload.size_jitter, size=frame_count).clip(0.3, 3.0)
 
     def _send(frame_id: int) -> None:
         target = session.sender.target_bitrate_bps
         if target is None:
             target = workload.bitrate_bps
-        size = target / workload.fps / 8.0
-        if jitter is not None:
-            size *= float(jitter[frame_id])
-        session.send_frame(frame_id, max(int(size), 1), capture_time=frame_id * interval)
+        size = max(int(target / workload.fps / 8.0), 1)
+        session.send_frame(frame_id, size, capture_time=frame_id * interval)
         if frame_id + 1 < frame_count:
             session.loop.schedule_at(
                 (frame_id + 1) * interval, lambda: _send(frame_id + 1)
@@ -1254,6 +1181,11 @@ def drive_closed_loop(
 
     session.loop.schedule_at(0.0, lambda: _send(0))
     session.run(until=duration_s + 5.0)
+
+
+#: The same driver under the name closed-loop callers use: with a
+#: controller, each frame follows its target bitrate.
+drive_closed_loop = drive_fixed_bitrate
 
 
 def run_fixed_bitrate_session(

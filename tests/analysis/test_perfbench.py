@@ -52,7 +52,6 @@ class TestEquivalenceReport:
         "session_stats_identical",
         "session_stats_identical_jittered",
         "session_stats_identical_single_packet_frames",
-        "fec_payload_bytes_identical",
         "fec_session_stats_identical",
         "fec_session_stats_identical_jittered",
         "fec_session_stats_identical_single_packet",

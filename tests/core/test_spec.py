@@ -17,7 +17,13 @@ from repro.distrib.chaos import FaultPlan
 from repro.distrib.config import DistribTimeouts, RetryPolicy
 from repro.net.abr import AiOrientedAbr, BufferBasedAbr, ThroughputAbr
 from repro.net.congestion import AimdConfig, GccConfig
-from repro.net.control import ABR_KINDS, ESTIMATOR_KINDS, FixedController, controller_from_spec
+from repro.net.control import (
+    ABR_KINDS,
+    ESTIMATOR_KINDS,
+    FixedController,
+    controller_from_spec,
+    preset_controller_spec,
+)
 from repro.net.emulator import (
     LOSS_KINDS,
     BandwidthTrace,
@@ -83,6 +89,10 @@ class TestRejectedAtTheFactories:
     def test_extra_bandwidth_trace_key_rejected(self):
         with pytest.raises(ConfigError, match="BandwidthTrace"):
             bandwidth_trace_from_spec({"times": [0.0], "rates_bps": [1e6], "loop": True})
+
+    def test_unknown_closed_loop_field_is_named(self):
+        with pytest.raises(ConfigError, match="ClosedLoopController.*bogus"):
+            controller_from_spec({**preset_controller_spec("gcc"), "bogus": 1})
 
     @pytest.mark.parametrize(
         "build, spec",

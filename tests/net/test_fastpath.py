@@ -187,34 +187,22 @@ class TestSessionEquivalence:
         fast = _session_stats(seed, jitter)
         assert scalar == fast
 
-    def test_explicit_block_size_matches_scalar(self):
-        loop_stats = []
-        for block in (1, 16, 4096):
-            config = PathConfig(
-                loss_model=BernoulliLoss(0.05), seed=11, drop_block_size=block
-            )
-            stats = run_fixed_bitrate_session(2e6, 1.0, uplink_config=config)
-            summary = stats.summary()
-            loop_stats.append((summary.count, summary.delivered, summary.mean_s))
-        assert loop_stats[0] == loop_stats[1] == loop_stats[2]
-
-    def test_invalid_block_size_rejected(self):
-        with pytest.raises(ValueError):
-            PathConfig(drop_block_size=0)
-
-    def test_block_refill_does_not_advance_callers_model(self):
+    def test_block_refill_does_not_advance_callers_model(self, monkeypatch):
         """The path snapshots a stateful model: prefetching a 1024-decision
         block must not advance the chain state of the caller's instance."""
+        monkeypatch.setenv(FASTPATH_ENV, "1")
         model = GilbertElliottLoss(p_good_to_bad=1.0, p_bad_to_good=0.0, loss_in_bad=0.9)
-        config = PathConfig(loss_model=model, seed=0, drop_block_size=1024)
+        config = PathConfig(loss_model=model, seed=0)
         run_fixed_bitrate_session(2e6, 1.0, uplink_config=config)
         assert model._in_bad_state is False
 
-    def test_scalar_block_size_keeps_shared_model_semantics(self):
-        """drop_block_size=1 preserves exact scalar semantics: the caller's
-        model advances with every packet the path offers."""
+    def test_scalar_block_size_keeps_shared_model_semantics(self, monkeypatch):
+        """The reference path draws one decision per packet and keeps exact
+        scalar semantics: the caller's model advances with every packet the
+        path offers."""
+        monkeypatch.setenv(FASTPATH_ENV, "0")
         model = GilbertElliottLoss(p_good_to_bad=1.0, p_bad_to_good=0.0, loss_in_bad=0.9)
-        config = PathConfig(loss_model=model, seed=0, drop_block_size=1)
+        config = PathConfig(loss_model=model, seed=0)
         run_fixed_bitrate_session(2e6, 1.0, uplink_config=config)
         assert model._in_bad_state is True
 
@@ -322,7 +310,7 @@ class TestFecSessionEquivalence:
             )
             assert not session.block_mode
             assert session.uplink._deliver_block is None
-            assert session.uplink._drop_block_size == drop_block
+            assert session.uplink._refill_size == drop_block
 
     def test_block_mode_sender_rejects_fec(self):
         """Block-mode senders carry no parity, so an FEC config must not

@@ -183,7 +183,7 @@ class TestFecDecoderPendingParity:
             frame_id=0, frame_bytes=1100 * packet_count, capture_time=0.0
         )
         assert len(packets) == packet_count
-        parity = FecEncoder(config).protect(packets, packetizer)
+        parity = FecEncoder(config).protect(packets)
         return packets, parity
 
     def test_pending_parity_retried_on_late_data_packet(self):
@@ -239,7 +239,7 @@ class TestFecDecoderPendingParity:
             packets = packetizer.packetize(
                 frame_id=frame_id, frame_bytes=1100 * 4, capture_time=frame_id / 30
             )
-            parity = encoder.protect(packets, packetizer)[0]
+            parity = encoder.protect(packets)[0]
             # First two packets arrive, then parity (held pending), then the
             # rest arrive and the frame completes.
             for packet in packets[:2]:
@@ -282,7 +282,7 @@ class TestFecDecoderPendingParity:
         config = FecConfig(group_size=1)
         packetizer = Packetizer(mtu_bytes=1200)
         packets = packetizer.packetize(frame_id=0, frame_bytes=800, capture_time=0.0)
-        parity = FecEncoder(config).protect(packets, packetizer)[0]
+        parity = FecEncoder(config).protect(packets)[0]
         decoder = FecDecoder(config)
         assembler = FrameAssembler()
         # The lone data packet was dropped.  At parity arrival the decoder
@@ -306,14 +306,14 @@ class TestFecDecoderPendingParity:
         decoder = FecDecoder(config)
         assembler = FrameAssembler()
         frame0 = packetizer.packetize(frame_id=0, frame_bytes=800, capture_time=0.0)
-        parity0 = encoder.protect(frame0, packetizer)[0]
+        parity0 = encoder.protect(frame0)[0]
         # Frame 0's lone data packet is lost; its parity is held pending.
         assert decoder.on_fec_packet(parity0, assembler) == []
         assert decoder.pending_parity_frames == 1
         # Frame 1's parity jitters ahead of frame 1's data: its arrival
         # alone is evidence for frame 0 and recovers the lost packet.
         frame1 = packetizer.packetize(frame_id=1, frame_bytes=800, capture_time=1 / 30)
-        parity1 = encoder.protect(frame1, packetizer)[0]
+        parity1 = encoder.protect(frame1)[0]
         recovered = decoder.on_fec_packet(parity1, assembler)
         assert [(p.frame_id, p.index_in_frame) for p in recovered] == [(0, 0)]
         assert decoder.pending_parity_frames == 1  # frame 1's own parity waits
@@ -324,7 +324,7 @@ class TestFecDecoderPendingParity:
         config = FecConfig(group_size=1)
         packetizer = Packetizer(mtu_bytes=1200)
         packets = packetizer.packetize(frame_id=0, frame_bytes=800, capture_time=0.0)
-        parity = FecEncoder(config).protect(packets, packetizer)[0]
+        parity = FecEncoder(config).protect(packets)[0]
         decoder = FecDecoder(config)
         assembler = FrameAssembler()
         assert decoder.on_fec_packet(parity, assembler) == []
@@ -341,7 +341,7 @@ class TestFecDecoderPendingParity:
         config = FecConfig(group_size=2)
         packetizer = Packetizer(mtu_bytes=1200)
         packets = packetizer.packetize(frame_id=0, frame_bytes=1100 * 2, capture_time=0.0)
-        parity = FecEncoder(config).protect(packets, packetizer)[0]
+        parity = FecEncoder(config).protect(packets)[0]
         decoder = FecDecoder(config)
         assembler = FrameAssembler()
         # Packet 0 arrives and the frame becomes known; the parity then
@@ -360,7 +360,7 @@ class TestFecDecoderPendingParity:
         config = FecConfig(group_size=2)
         packetizer = Packetizer(mtu_bytes=1200)
         packets = packetizer.packetize(frame_id=0, frame_bytes=1100 * 2, capture_time=0.0)
-        parity = FecEncoder(config).protect(packets, packetizer)[0]
+        parity = FecEncoder(config).protect(packets)[0]
         decoder = FecDecoder(config)
         assembler = FrameAssembler()
         # Packet 1 was genuinely lost; FEC repairs it from packet 0 + parity.
@@ -379,7 +379,7 @@ class TestFecDecoderPendingParity:
         packetizer = Packetizer(mtu_bytes=1200)
         packets = packetizer.packetize(frame_id=0, frame_bytes=1100 * 2, capture_time=0.0)
         assert len(packets) == 2
-        parity = FecEncoder(config).protect(packets, packetizer)[0]
+        parity = FecEncoder(config).protect(packets)[0]
         decoder = FecDecoder(config)
         assembler = FrameAssembler()
         # Parity reordered ahead of both data packets of its group.
@@ -410,11 +410,13 @@ class TestFecDecoderPendingParity:
 
 @pytest.mark.parametrize("fastpath", ["0", "1"], ids=["reference", "fast"])
 class TestFecPayloadRecovery:
-    """XOR parity restores the bytes that were lost, on both XOR paths.
+    """One parity per group restores one lost packet's payload size.
 
-    A 10-packet frame in two groups of 5; the last packet carries only
-    37 bytes, so its group's parity is zero-padded past it and its recovery
-    must be trimmed back to the true size.
+    A 937-byte frame at MTU 100 is ten packets in two groups of 5; the last
+    packet carries only 37 bytes, so its group's parity (100 bytes) is
+    larger than the packet it stands in for.  FEC is size-only and has no
+    fast path of its own; every case runs under both ``REPRO_NET_FASTPATH``
+    values to pin that recovery does not depend on the flag.
     """
 
     GROUP = 5
@@ -422,20 +424,15 @@ class TestFecPayloadRecovery:
     def _frame(self, monkeypatch, fastpath):
         monkeypatch.setenv(FASTPATH_ENV, fastpath)
         config = FecConfig(group_size=self.GROUP)
-        packetizer = Packetizer(mtu_bytes=100)
-        packets = packetizer.packetize(frame_id=0, frame_bytes=937, capture_time=0.0)
+        packets = Packetizer(mtu_bytes=100).packetize(frame_id=0, frame_bytes=937, capture_time=0.0)
         assert [p.size_bytes for p in packets] == [100] * 9 + [37]
-        rng = np.random.default_rng(3)
-        for packet in packets:
-            packet.payload = rng.bytes(packet.size_bytes)
-        assert len({p.payload for p in packets}) == len(packets)
-        parity = FecEncoder(config).protect(packets, packetizer)
+        parity = FecEncoder(config).protect(packets)
         assert len(parity) == 2
         return packets, parity, FecDecoder(config)
 
     def _deliver(self, packets, parity, decoder, lost):
         """Deliver every packet not in ``lost``, then the parity; return
-        the recovered payloads by index."""
+        the assembler and the recovered packets' sizes by index."""
         assembler = FrameAssembler()
         for packet in packets:
             if packet.index_in_frame not in lost:
@@ -444,24 +441,35 @@ class TestFecPayloadRecovery:
         recovered = {}
         for fec_packet in parity:
             for packet in decoder.on_fec_packet(fec_packet, assembler):
-                recovered[packet.index_in_frame] = packet.payload
-        return recovered
+                recovered[packet.index_in_frame] = packet.size_bytes
+                assembler.on_packet(packet, arrival_time=0.02)
+        return assembler, recovered
 
     @pytest.mark.parametrize("offset", range(GROUP))
     def test_one_loss_per_group_recovers_original_bytes(self, monkeypatch, fastpath, offset):
         packets, parity, decoder = self._frame(monkeypatch, fastpath)
         lost = {offset, self.GROUP + offset}
-        recovered = self._deliver(packets, parity, decoder, lost)
-        assert recovered == {index: packets[index].payload for index in lost}
+        assembler, recovered = self._deliver(packets, parity, decoder, lost)
+        assert recovered == {index: packets[index].size_bytes for index in lost}
         assert decoder.recovered_packets == 2
+        assert not decoder.has_pending(0)
+        assert assembler.is_complete(0)
 
     def test_two_losses_in_a_group_recover_nothing_there(self, monkeypatch, fastpath):
         packets, parity, decoder = self._frame(monkeypatch, fastpath)
-        recovered = self._deliver(packets, parity, decoder, lost={1, 3, 9})
-        assert recovered == {9: packets[9].payload}
-        assert len(recovered[9]) == 37
+        _, recovered = self._deliver(packets, parity, decoder, lost={1, 3, 9})
+        assert recovered == {9: 37}
         assert decoder.recovered_packets == 1
         assert decoder.has_pending(0)
+
+    def test_recovered_tail_counts_its_own_bytes(self, monkeypatch, fastpath):
+        """The lost 37-byte tail comes back as 37 bytes, not as its group's
+        100-byte parity, so the frame's received bytes stay 937."""
+        packets, parity, decoder = self._frame(monkeypatch, fastpath)
+        assembler, recovered = self._deliver(packets, parity, decoder, lost={9})
+        assert recovered == {9: 37}
+        assert assembler.is_complete(0)
+        assert assembler.received_bytes(0) == 937
 
 
 class TestJitterBuffer:

@@ -10,6 +10,7 @@ from repro.net import (
     PathConfig,
     TransportConfig,
     VideoTransportSession,
+    drive_fixed_bitrate,
     run_fixed_bitrate_session,
 )
 
@@ -106,11 +107,26 @@ class TestFecFlush:
         session.run()
         assert session.stats.summary().delivered == 2
 
+    def test_recovered_packets_carry_their_own_size(self):
+        """At 1 Mbps a frame is 4,166 B: 1,400 + 1,400 + 1,366 under one
+        1,400 B parity.  A frame completed by FEC must still report 4,166
+        delivered bytes, not the parity's size for its recovered packet."""
+        session = VideoTransportSession(
+            uplink_config=_path(loss=0.1, seed=3),
+            transport_config=TransportConfig(fec=FecConfig(group_size=5)),
+        )
+        drive_fixed_bitrate(session, FixedBitrateWorkload(bitrate_bps=1_000_000), 5.0)
+        assert session.fec_summary()["recovered_packets"] > 0
+        sent = {record.frame_id: record.size_bytes for record in session.stats.frames}
+        assert set(sent.values()) == {4166}
+        delivered = session.receiver.delivered_frames
+        assert len(delivered) == len(sent)
+        assert all(event.size_bytes == sent[event.frame_id] for event in delivered)
+
     def test_abandoned_frame_state_pruned(self):
         """Frames that never complete must not grow decoder state forever."""
-        from repro.net.fec import FecDecoder
+        from repro.net.fec import STALE_TIMEOUT_S, FecDecoder, FecEncoder
         from repro.net.packet import FrameAssembler, Packetizer
-        from repro.net.fec import FecEncoder
 
         config = FecConfig(group_size=2)
         decoder = FecDecoder(config)
@@ -120,12 +136,12 @@ class TestFecFlush:
         # Frame 0 loses both packets of its group; only the parity arrives,
         # so it is held pending and the frame can never complete.
         doomed = packetizer.packetize(frame_id=0, frame_bytes=1100 * 2, capture_time=0.0)
-        decoder.on_fec_packet(encoder.protect(doomed, packetizer)[0], assembler)
+        decoder.on_fec_packet(encoder.protect(doomed)[0], assembler)
         assert decoder.pending_parity_frames == 1
         # A long healthy tail of frames; once frame 0's capture time falls
         # behind the stale timeout its pending parity and seen-packet state
         # are released.
-        for frame_id in range(1, int(decoder.stale_timeout_s * 30) + 5):
+        for frame_id in range(1, int(STALE_TIMEOUT_S * 30) + 5):
             packets = packetizer.packetize(
                 frame_id=frame_id, frame_bytes=1100 * 2, capture_time=frame_id / 30
             )
@@ -242,30 +258,21 @@ class TestFigure3Shape:
 
 
 class TestWorkload:
-    def test_constant_sizes_without_iframes(self):
-        workload = FixedBitrateWorkload(bitrate_bps=2_400_000, fps=30)
-        sizes = workload.frame_sizes(10)
-        assert len(sizes) == 10
-        assert all(size == sizes[0] for size in sizes)
-        assert sizes[0] == pytest.approx(2_400_000 / 30 / 8, abs=1)
+    @staticmethod
+    def _registered_sizes(workload, duration_s):
+        session = VideoTransportSession(uplink_config=_path())
+        drive_fixed_bitrate(session, workload, duration_s)
+        return [record.size_bytes for record in session.stats.frames]
 
-    def test_iframe_structure_preserves_average(self):
-        workload = FixedBitrateWorkload(
-            bitrate_bps=3_000_000, fps=30, iframe_interval=10, iframe_scale=4.0
-        )
-        sizes = workload.frame_sizes(300)
-        target = 3_000_000 / 30 / 8
-        assert np.mean(sizes) == pytest.approx(target, rel=0.02)
-        assert sizes[0] > sizes[1]
+    def test_constant_sizes_without_iframes(self):
+        sizes = self._registered_sizes(FixedBitrateWorkload(bitrate_bps=2_400_000, fps=30), 1 / 3)
+        assert sizes == [2_400_000 // 30 // 8] * 10
 
     def test_zero_count(self):
-        assert FixedBitrateWorkload(bitrate_bps=1e6).frame_sizes(0).size == 0
-
-    def test_jitter_changes_sizes_but_keeps_positive(self):
-        workload = FixedBitrateWorkload(bitrate_bps=1_000_000, fps=30, size_jitter=0.3, seed=4)
-        sizes = workload.frame_sizes(100)
-        assert len(set(sizes.tolist())) > 10
-        assert (sizes > 0).all()
+        """Zero seconds still send one frame, and a zero bitrate still sends
+        1-byte frames: the driver never registers an empty frame."""
+        assert self._registered_sizes(FixedBitrateWorkload(bitrate_bps=1e6), 0.0) == [4166]
+        assert self._registered_sizes(FixedBitrateWorkload(bitrate_bps=0.0), 0.1) == [1, 1, 1]
 
 
 class TestSessionAccounting:
