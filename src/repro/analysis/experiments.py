@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -88,9 +88,9 @@ def run_figure2_redundancy(
     uplink before the receiver-side sampler sees them, so bursty links show
     up as reduced perceived throughput rather than a fixed redundancy ratio.
     """
-    scene = make_sports_scene(seed, height=height, width=width)
-    scene.fps = capture_fps
-    scene.duration_s = duration_s
+    scene = replace(
+        make_sports_scene(seed, height=height, width=width), fps=capture_fps, duration_s=duration_s
+    )
     source = scene.to_source()
     frames = [source.frame_at(index) for index in range(source.frame_count())]
     captured_count = len(frames)

@@ -178,6 +178,7 @@ def coarse_qa_breakage_rate(
                 prepared.original_frames,
                 apply_frame_sampling=False,
                 salt="coarse-orig",
+                frame_scores=prepared.region_scores(fact.object_name, degraded=False),
             )
             degraded = mllm.answer_question(
                 fact,
@@ -186,6 +187,7 @@ def coarse_qa_breakage_rate(
                 prepared.original_frames,
                 apply_frame_sampling=False,
                 salt="coarse-deg",
+                frame_scores=prepared.region_scores(fact.object_name, degraded=True),
             )
             total += 1
             if original.correct and not degraded.correct:

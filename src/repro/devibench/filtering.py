@@ -76,6 +76,7 @@ class QAFilter:
             choices=list(sample.options),
             apply_frame_sampling=False,
             salt=salt,
+            frame_scores=prepared.region_scores(fact.object_name, degraded),
         )
         # The filter grades against the *generated* answer letter, exactly as
         # the real pipeline does (it has no other ground truth).

@@ -105,6 +105,7 @@ class CrossVerifier:
             choices=list(sample.options),
             apply_frame_sampling=False,
             salt="verify",
+            frame_scores=prepared.region_scores(fact.object_name, degraded=False),
         )
         approved = answer.answer == candidate.generator_answer
         return VerificationDecision(

@@ -10,9 +10,10 @@ block codec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..mllm.model import region_scores
 from ..video.codec import BlockCodec
 from ..video.frames import VideoFrame
 from ..video.rate_control import achieved_bitrate_bps, encode_sequence_at_target_bitrate
@@ -47,10 +48,27 @@ class PreparedVideo:
     degraded_frames: list[VideoFrame]
     low_bitrate_bps: float
     achieved_bitrate_bps: float
+    #: (object name, degraded) -> per-frame region scores, filled on first use.
+    _scores: dict[tuple[str, bool], list[float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def frame_count(self) -> int:
         return len(self.original_frames)
+
+    def region_scores(self, object_name: str, degraded: bool) -> list[float]:
+        """:func:`~repro.mllm.model.region_scores` of one object on one rendition.
+
+        Filtering, verification and the coarse-QA measurement ask about the
+        same few objects on the same frames, so each is scored once per video.
+        """
+        key = (object_name, degraded)
+        if key not in self._scores:
+            frames = self.degraded_frames if degraded else self.original_frames
+            obj = self.scene.object_by_name(object_name)
+            self._scores[key] = region_scores(obj, frames, self.original_frames)
+        return self._scores[key]
 
 
 class VideoCollection:

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..video.frames import VideoFrame
 from ..video.quality import region_quality
-from ..video.scene import Scene, SceneFact
+from ..video.scene import Scene, SceneFact, SceneObject
 from .inference import InferenceConfig, default_inference_config
 from .sampler import ReceiverSampler, SamplerConfig
 
@@ -97,6 +97,27 @@ class MllmAnswer:
     inference_latency_ms: float = 0.0
 
 
+def region_scores(
+    obj: SceneObject,
+    decoded_frames: Sequence[VideoFrame],
+    original_frames: Sequence[VideoFrame],
+) -> list[float]:
+    """Readable score of ``obj``'s region in each decoded frame against its original.
+
+    The score depends only on the frames and the object, not on any MLLM
+    profile, so it can be computed once and shared by several models.
+    """
+    if len(decoded_frames) != len(original_frames):
+        raise ValueError("decoded and original frame lists must align")
+    scores = []
+    for decoded, original in zip(decoded_frames, original_frames):
+        if decoded.pixels.shape != original.pixels.shape:
+            raise ValueError("decoded/original frame shape mismatch")
+        region = obj.pixel_region(decoded.height, decoded.width, time_s=original.timestamp)
+        scores.append(region_quality(original.pixels, decoded.pixels, region).readable_score)
+    return scores
+
+
 class SimulatedMLLM:
     """Answers scene questions through a quality-gated evidence model."""
 
@@ -133,30 +154,23 @@ class SimulatedMLLM:
         decoded_frames: Sequence[VideoFrame],
         original_frames: Sequence[VideoFrame],
     ) -> float:
-        """Quality of the visual evidence for a fact across the visible frames.
+        """Quality of the visual evidence for a fact across the visible frames."""
+        obj = scene.object_by_name(fact.object_name)
+        return self._evidence(fact, region_scores(obj, decoded_frames, original_frames))
+
+    def _evidence(self, fact: SceneFact, scores: Sequence[float]) -> float:
+        """Evidence from per-frame region scores, scaled by the profile.
 
         Single-frame questions use the best frame; multi-frame questions use
         the second best (at least two usable observations are needed).
         """
-        if len(decoded_frames) != len(original_frames):
-            raise ValueError("decoded and original frame lists must align")
-        if not decoded_frames:
+        if not scores:
             return 0.0
-        obj = scene.object_by_name(fact.object_name)
-        scores = []
-        for decoded, original in zip(decoded_frames, original_frames):
-            if decoded.pixels.shape != original.pixels.shape:
-                raise ValueError("decoded/original frame shape mismatch")
-            region = obj.pixel_region(
-                decoded.height, decoded.width, time_s=original.timestamp
-            )
-            report = region_quality(original.pixels, decoded.pixels, region)
-            scores.append(report.readable_score)
-        scores.sort(reverse=True)
+        ranked = sorted(scores, reverse=True)
         if fact.multi_frame:
-            raw = scores[1] if len(scores) >= 2 else 0.0
+            raw = ranked[1] if len(ranked) >= 2 else 0.0
         else:
-            raw = scores[0]
+            raw = ranked[0]
         return float(np.clip(raw * self.profile.detail_competence, 0.0, 1.0))
 
     def _build_choices(self, fact: SceneFact, choices: Optional[Sequence[str]]) -> list[str]:
@@ -184,10 +198,18 @@ class SimulatedMLLM:
         choices: Optional[Sequence[str]] = None,
         apply_frame_sampling: bool = True,
         salt: str = "",
+        frame_scores: Optional[Sequence[float]] = None,
     ) -> MllmAnswer:
-        """Ask the model one question about the decoded video."""
+        """Ask the model one question about the decoded video.
+
+        ``frame_scores`` are the :func:`region_scores` of the fact's object
+        over exactly these frames, when the caller already holds them (see
+        :meth:`repro.devibench.videos.PreparedVideo.region_scores`).
+        """
         if mode not in (MODE_MULTIPLE_CHOICE, MODE_FREE_RESPONSE):
             raise ValueError(f"unknown mode {mode!r}")
+        if frame_scores is not None and apply_frame_sampling:
+            raise ValueError("frame_scores cover every frame; pass apply_frame_sampling=False")
 
         decoded = list(decoded_frames)
         originals = list(original_frames)
@@ -200,7 +222,10 @@ class SimulatedMLLM:
             if pairs:
                 decoded, originals = map(list, zip(*pairs))
 
-        evidence = self.evidence_quality(fact, scene, decoded, originals)
+        if frame_scores is None:
+            evidence = self.evidence_quality(fact, scene, decoded, originals)
+        else:
+            evidence = self._evidence(fact, frame_scores)
         required = self.required_quality(fact.detail_scale)
         knows = evidence >= required
 

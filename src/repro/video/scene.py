@@ -136,6 +136,8 @@ class Scene:
     def __post_init__(self) -> None:
         if self.height <= 0 or self.width <= 0:
             raise ValueError("scene dimensions must be positive")
+        if self.fps <= 0 or self.duration_s <= 0:
+            raise ValueError("scene fps and duration_s must be positive")
         names = [obj.name for obj in self.objects]
         if len(names) != len(set(names)):
             raise ValueError("object names must be unique within a scene")
@@ -169,7 +171,7 @@ class Scene:
         )
         return gradient + undulation
 
-    def _object_texture(self, obj: SceneObject, rows: int, cols: int, time_s: float) -> np.ndarray:
+    def _object_texture(self, obj: SceneObject, rows: int, cols: int) -> np.ndarray:
         """Texture whose spatial frequency grows with the object's detail scale."""
         rng = np.random.default_rng(self.seed * 1009 + obj.texture_seed)
         yy, xx = np.mgrid[0:rows, 0:cols]
@@ -184,20 +186,36 @@ class Scene:
         texture = (1 - blend) * pattern / 2.0 + blend * static
         return obj.base_intensity + obj.texture_contrast * texture
 
-    def render(self, frame_index: int) -> np.ndarray:
-        """Render one frame as a luma array in [0, 255]."""
+    def render(self, frame_index: int, *, layers: Optional[dict] = None) -> np.ndarray:
+        """Render one frame as a luma array in [0, 255].
+
+        The background and each object's texture depend on the region size,
+        not on time, so the caller's ``layers`` dict keeps them across calls.
+        Without it every call draws them afresh: the oracle the memo matches.
+        """
         if not 0 <= frame_index < self.frame_count:
             raise IndexError(f"frame index {frame_index} out of range [0, {self.frame_count})")
+        if layers is None:
+            layers = {}
         time_s = frame_index / self.fps
-        frame = self._background().copy()
-        for obj in self.objects:
+        if "background" not in layers:
+            layers["background"] = _read_only(self._background())
+        frame = layers["background"].copy()
+        for index, obj in enumerate(self.objects):
             row0, row1, col0, col1 = obj.pixel_region(self.height, self.width, time_s)
-            texture = self._object_texture(obj, row1 - row0, col1 - col0, time_s)
-            frame[row0:row1, col0:col1] = texture
+            key = (index, row1 - row0, col1 - col0)
+            if key not in layers:
+                layers[key] = _read_only(self._object_texture(obj, row1 - row0, col1 - col0))
+            frame[row0:row1, col0:col1] = layers[key]
         return np.clip(frame, 0, 255)
 
     def to_source(self) -> "SceneVideoSource":
         return SceneVideoSource(self)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class SceneVideoSource:
@@ -209,15 +227,17 @@ class SceneVideoSource:
         self.height = scene.height
         self.width = scene.width
         self._cache: dict[int, np.ndarray] = {}
+        # Background and textures, shared by this source's renders only, so
+        # they are freed with it rather than pinned for the scene's lifetime.
+        self._layers: dict = {}
 
     def frame_count(self) -> int:
         return self.scene.frame_count
 
     def frame_at(self, index: int) -> VideoFrame:
         if index not in self._cache:
-            pixels = self.scene.render(index)
-            pixels.flags.writeable = False  # shared by every frame_at(index)
-            self._cache[index] = pixels
+            # shared by every frame_at(index)
+            self._cache[index] = _read_only(self.scene.render(index, layers=self._layers))
         return VideoFrame(
             frame_id=index,
             timestamp=index / self.fps,

@@ -27,6 +27,11 @@ from repro.net.control import preset_controller_spec
 
 
 class TestFigureRunners:
+    @pytest.mark.parametrize("capture_fps", [0.0, -5.0])
+    def test_figure2_rejects_non_positive_capture_fps(self, capture_fps):
+        with pytest.raises(ValueError):
+            run_figure2_redundancy(capture_fps=capture_fps, duration_s=0.5, height=60, width=90)
+
     def test_figure2_redundancy_shape(self):
         result = run_figure2_redundancy(capture_fps=30.0, duration_s=0.5, height=120, width=160)
         assert 0.9 <= result["frame_redundancy"] <= 1.0

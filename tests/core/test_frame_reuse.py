@@ -56,9 +56,9 @@ def test_each_frame_is_rendered_once_per_dialogue(scene, monkeypatch):
     rendered: Counter = Counter()
     render = Scene.render
 
-    def counting_render(self, frame_index):
+    def counting_render(self, frame_index, **kwargs):
         rendered[frame_index] += 1
-        return render(self, frame_index)
+        return render(self, frame_index, **kwargs)
 
     monkeypatch.setattr(Scene, "render", counting_render)
     session = _session(scene)

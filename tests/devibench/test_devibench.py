@@ -24,7 +24,8 @@ from repro.devibench import (
     format_table1,
     table1_rows,
 )
-from repro.video import Scene, make_sports_scene, psnr
+from repro.mllm.model import SimulatedMLLM
+from repro.video import Scene, make_sports_scene, psnr, region_quality
 from repro.video.scene import CATEGORY_TEXT_RICH, build_scene_corpus
 
 
@@ -141,9 +142,9 @@ class TestVideoCollection:
         calls = []
         render = Scene.render
 
-        def counting_render(scene, frame_index):
+        def counting_render(scene, frame_index, **kwargs):
             calls.append(frame_index)
-            return render(scene, frame_index)
+            return render(scene, frame_index, **kwargs)
 
         monkeypatch.setattr(Scene, "render", counting_render)
         collection = VideoCollection.synthetic(video_count=1, seed=0, height=96, width=160)
@@ -246,6 +247,81 @@ class TestFilteringAndVerification:
     def test_verifier_validation(self):
         with pytest.raises(ValueError):
             CrossVerifier(cross_model_disagreement=1.0)
+
+
+def _record_answers(patch, uncached: bool) -> list:
+    """Record every ``answer_question`` result and whether a table was passed.
+
+    With ``uncached`` the table is dropped, so the answer scores its frames
+    afresh through ``evidence_quality``.
+    """
+    calls = []
+    answer = SimulatedMLLM.answer_question
+
+    def recording(self, *args, frame_scores=None, **kwargs):
+        if not uncached:
+            kwargs["frame_scores"] = frame_scores
+        calls.append((frame_scores is not None, answer(self, *args, **kwargs)))
+        return calls[-1][1]
+
+    patch.setattr(SimulatedMLLM, "answer_question", recording)
+    return calls
+
+
+class TestEvidenceTable:
+    """``PreparedVideo.region_scores`` against scoring every frame afresh."""
+
+    BUILD = dict(video_count=8, height=96, width=160)
+
+    @pytest.fixture(scope="class", params=[0, 1])
+    def build(self, request):
+        videos = []
+        prepare_all = VideoCollection.prepare_all
+
+        def capturing(collection):
+            videos.extend(prepare_all(collection))
+            return videos
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(VideoCollection, "prepare_all", capturing)
+            answers = _record_answers(patch, uncached=False)
+            report = build_benchmark(seed=request.param, **self.BUILD)
+        return request.param, videos, answers, report
+
+    def test_table_entries_equal_uncached_scores(self, build):
+        _, videos, _, _ = build
+        for video in videos:
+            for obj in video.scene.objects:
+                for degraded in (False, True):
+                    frames = video.degraded_frames if degraded else video.original_frames
+                    expected = [
+                        region_quality(
+                            original.pixels,
+                            frame.pixels,
+                            obj.pixel_region(frame.height, frame.width, original.timestamp),
+                        ).readable_score
+                        for frame, original in zip(frames, video.original_frames)
+                    ]
+                    assert video.region_scores(obj.name, degraded) == expected
+
+    def test_filter_and_verifier_equal_uncached(self, build, monkeypatch):
+        seed, _, answers, report = build
+        assert answers and all(passed for passed, _ in answers)
+        uncached_answers = _record_answers(monkeypatch, uncached=True)
+        uncached = build_benchmark(seed=seed, **self.BUILD)
+        assert [a for _, a in uncached_answers] == [a for _, a in answers]
+        assert uncached.filter_report.decisions == report.filter_report.decisions
+        assert uncached.verification_report.decisions == report.verification_report.decisions
+
+    def test_coarse_breakage_equals_uncached(self, build, monkeypatch):
+        collection = VideoCollection.synthetic(seed=build[0], **self.BUILD)
+        with pytest.MonkeyPatch.context() as patch:
+            answers = _record_answers(patch, uncached=False)
+            cached = coarse_qa_breakage_rate(collection)
+        uncached_answers = _record_answers(monkeypatch, uncached=True)
+        assert coarse_qa_breakage_rate(collection) == cached
+        assert answers and all(passed for passed, _ in answers)
+        assert [a for _, a in uncached_answers] == [a for _, a in answers]
 
 
 class TestPipelineAndStats:

@@ -1,5 +1,7 @@
 """Tests for frame abstractions and synthetic scenes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +201,53 @@ class TestSceneLibrary:
         scene = make_sports_scene(0, height=90, width=160)
         with pytest.raises(KeyError):
             scene.object_by_name("not-there")
+
+    @pytest.mark.parametrize("field", ["fps", "duration_s"])
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_non_positive_timing_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            Scene("s", "d", objects=[], facts=[], height=40, width=40, **{field: value})
+        with pytest.raises(ValueError):
+            replace(make_sports_scene(0, height=40, width=40), **{field: value})
+
+
+class TestRenderMemo:
+    """``SceneVideoSource`` renders through a memo; ``Scene.render`` alone is the oracle."""
+
+    @staticmethod
+    def assert_source_matches_oracle(scene, frame_count):
+        source = scene.to_source()
+        for index in range(frame_count):
+            memo = source.frame_at(index).pixels
+            oracle = scene.render(index)
+            assert memo.dtype == oracle.dtype
+            assert memo.tobytes() == oracle.tobytes(), (scene.name, index)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("kind", sorted(SCENE_BUILDERS))
+    def test_source_frames_equal_uncached_render(self, kind, seed):
+        self.assert_source_matches_oracle(SCENE_BUILDERS[kind](seed=seed, height=120, width=216), 25)
+
+    def test_capture_rate_scene_equals_uncached_render(self):
+        # Built as run_figure2_redundancy builds it; its moving objects take
+        # several region sizes, so the texture key's (rows, cols) matters.
+        scene = replace(make_sports_scene(0, height=120, width=216), fps=60.0, duration_s=2.0)
+        sizes = {
+            (obj.name, r1 - r0, c1 - c0)
+            for index in range(scene.frame_count)
+            for obj in scene.objects
+            for r0, r1, c0, c1 in [obj.pixel_region(scene.height, scene.width, index / scene.fps)]
+        }
+        assert len(sizes) > len(scene.objects)
+        self.assert_source_matches_oracle(scene, scene.frame_count)
+
+    def test_memo_layers_are_read_only(self):
+        scene = make_sports_scene(0, height=60, width=90)
+        layers: dict = {}
+        scene.render(0, layers=layers)
+        assert len(layers) == 1 + len(scene.objects)
+        assert not any(array.flags.writeable for array in layers.values())
+        assert scene.render(0).flags.writeable
 
 
 class TestSceneCorpus:
