@@ -25,6 +25,7 @@ including for indirect queries (season → grass).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..video.quality import high_frequency_retention
 from ..video.scene import Scene
-from .embedding import ConceptSpace, cosine_similarity
+from .embedding import ConceptSpace
 
 
 @dataclass
@@ -191,12 +192,20 @@ class MobileClip:
                 features += weight[:, :, None] * self.space.vector(concept)
 
         # Norms and dot products stay per patch: a batched norm or matmul may
-        # sum the 64 products in another order and round differently.
+        # sum the 64 products in another order and round differently.  The
+        # loop is ``cosine_similarity(feature / norm, text_feature)`` with each
+        # ``np.linalg.norm(v)`` spelled as what it computes for a real 1-D
+        # vector, ``sqrt(v.dot(v))``, and the text norm taken once.
+        text_norm = math.sqrt(text_feature.dot(text_feature))
         values = np.zeros((patches_y, patches_x))
+        flat_values = values.reshape(-1)
         for index, feature in enumerate(features.reshape(-1, self.space.dim)):
-            norm = np.linalg.norm(feature)
+            norm = math.sqrt(feature.dot(feature))
             if norm > 1e-12:
-                values.flat[index] = cosine_similarity(feature / norm, text_feature)
+                unit = feature / norm
+                norms = math.sqrt(unit.dot(unit)) * text_norm
+                if norms > 1e-12:
+                    flat_values[index] = unit.dot(text_feature) / norms
 
         latency = (
             self.config.text_encode_cost_ms

@@ -142,8 +142,9 @@ class BlockCodec:
                     f"qp_map shape {qp_map.shape} does not match block grid {grid} "
                     f"for a {height}x{width} frame with block {self.config.block_size}"
                 )
-        if (qp_map < MIN_QP).any() or (qp_map > MAX_QP).any():
-            raise ValueError(f"QP values must lie in [{MIN_QP}, {MAX_QP}]")
+        # NaN fails both range comparisons, so finiteness is checked first.
+        if not np.isfinite(qp_map).all() or (qp_map < MIN_QP).any() or (qp_map > MAX_QP).any():
+            raise ValueError(f"QP values must be finite and lie in [{MIN_QP}, {MAX_QP}]")
         return qp_map
 
     # -- encode / decode ----------------------------------------------------
@@ -153,6 +154,8 @@ class BlockCodec:
         pixels = np.asarray(pixels, dtype=np.float64)
         if pixels.ndim != 2:
             raise ValueError(f"expected a 2-D luma array, got shape {pixels.shape}")
+        if not np.isfinite(pixels).all():
+            raise ValueError("pixels must be finite")
         padded = _pad_to_blocks(pixels, self.config.block_size)
         coefficients = dctn(_to_blocks(padded, self.config.block_size), axes=(2, 3), norm="ortho")
         coefficients.flags.writeable = False
@@ -171,9 +174,11 @@ class BlockCodec:
         qp_map = self._expand_qp_map(qp, height, width)
 
         steps = self.config.quantisation_step(qp_map)[:, :, None, None]
-        quantised = np.round(frame.coefficients / steps).astype(np.int32)
+        rounded = frame.coefficients / steps
+        np.rint(rounded, out=rounded)
+        quantised = rounded.astype(np.int32)
 
-        bits_per_block = self._estimate_bits(quantised)
+        bits_per_block = self._estimate_bits(rounded)
         total_bits = float(bits_per_block.sum()) + self.config.frame_header_bits
 
         return EncodedFrame(
@@ -205,16 +210,24 @@ class BlockCodec:
 
     # -- rate model ----------------------------------------------------------
 
-    def _estimate_bits(self, quantised: np.ndarray) -> np.ndarray:
-        """Entropy-style bit estimate per block.
+    def _estimate_bits(self, rounded: np.ndarray) -> np.ndarray:
+        """Entropy-style bit estimate per block, from the rounded coefficients.
 
         Each non-zero coefficient of magnitude ``m`` costs roughly
         ``2*floor(log2(m)) + 3`` bits (signed exp-Golomb); zero coefficients
         are nearly free thanks to run-length coding, which we charge at a
         small constant aggregated into the block header.
+
+        ``rounded`` holds whole numbers, so for ``m >= 1`` ``floor(log2(m))``
+        is the float64 exponent field of ``m`` minus its bias 1023, and the
+        cost is ``2 * field - 2043``; zero has field 0 and clamps to 0 bits.
+        That is the log2 formula on ``quantised`` for every ``m < 2^31``, the
+        int32 range it assumes.  Bit counts are whole numbers, so the int64
+        block sums are exact.  ``rounded`` is overwritten.
         """
-        magnitude = np.abs(quantised).astype(np.float64)
-        nonzero = magnitude > 0
-        coefficient_bits = np.where(nonzero, 2.0 * np.floor(np.log2(np.maximum(magnitude, 1))) + 3.0, 0.0)
-        per_block = coefficient_bits.sum(axis=(2, 3)) + self.config.header_bits_per_block
-        return per_block
+        bits = np.abs(rounded, out=rounded).view(np.int64)
+        bits >>= 52
+        bits *= 2
+        bits -= 2043
+        np.maximum(bits, 0, out=bits)
+        return bits.sum(axis=(2, 3)) + self.config.header_bits_per_block

@@ -60,6 +60,10 @@ def encode_at_target_bitrate(
     """
     if target_bitrate_bps <= 0 or fps <= 0:
         raise ValueError("target_bitrate_bps and fps must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    if not tolerance >= 0:  # NaN fails too
+        raise ValueError("tolerance must be non-negative")
     target_bits = target_bitrate_bps / fps
 
     base = np.asarray(base_qp_map, dtype=float)

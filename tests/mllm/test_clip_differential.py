@@ -168,3 +168,25 @@ def test_identical_pixels_match_oracle(scenes, config_index):
     fast = clip.correlation_map(scene, words, frame, frame.copy(), extra, time_s)
     expected = reference_correlation(clip, scene, words, frame, frame.copy(), extra, time_s)
     assert np.array_equal(fast.values, expected)
+
+
+@pytest.mark.parametrize("words_index", [0, -2], ids=["fact-question", "empty-query"])
+def test_zero_feature_patches_match_oracle(scenes, words_index):
+    # With no background component, a patch that no object overlaps has the
+    # zero feature, and its correlation is 0.  The empty query also makes the
+    # text feature zero, so every patch scores 0.
+    scene = scenes["park"]
+    clip = _clip(16, 0.0)
+    words, extra = _queries(scene)[words_index]
+    height, width = scene.height, scene.width
+    covered = np.zeros((height // 16, width // 16), dtype=bool)
+    for obj in scene.objects:
+        row0, row1, col0, col1 = obj.pixel_region(height, width, 0.0)
+        covered[row0 // 16 : -(-row1 // 16), col0 // 16 : -(-col1 // 16)] = True
+    assert not covered.all(), "the scene leaves no patch empty"
+    fast = clip.correlation_map(scene, words, extra_concepts=extra)
+    expected = reference_correlation(clip, scene, words, extra_concepts=extra)
+    assert np.array_equal(fast.values, expected)
+    assert (fast.values[~covered] == 0.0).all()
+    if words:
+        assert (fast.values[covered] != 0.0).any()

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.video import (
     MAX_QP,
     MIN_QP,
+    SCENE_BUILDERS,
     BlockCodec,
     CodecConfig,
+    EncodedFrame,
     TransformedFrame,
     high_frequency_retention,
     make_sports_scene,
@@ -85,6 +87,26 @@ class TestBlockCodecRoundtrip:
             codec.encode(scene_frame, qp=52)
         with pytest.raises(ValueError):
             codec.encode(scene_frame, qp=-1)
+
+    @pytest.mark.parametrize("qp", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_qp(self, codec, scene_frame, qp):
+        # NaN fails both range comparisons; it used to quantise every
+        # coefficient to INT_MIN and report a header-only frame.
+        grid = codec.block_grid_shape(*scene_frame.shape)
+        qp_map = np.full(grid, 30.0)
+        qp_map[1, 2] = qp
+        for value in (qp, qp_map):
+            with pytest.raises(ValueError):
+                codec.encode(scene_frame, value)
+
+    @pytest.mark.parametrize("pixel", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_pixels(self, codec, scene_frame, pixel):
+        frame = scene_frame.copy()
+        frame[5, 7] = pixel
+        with pytest.raises(ValueError):
+            codec.transform(frame)
+        with pytest.raises(ValueError):
+            codec.encode(frame, 30)
 
     def test_size_bytes_consistent_with_bits(self, codec, scene_frame):
         encoded = codec.encode(scene_frame, 30)
@@ -168,6 +190,24 @@ class TestRateControl:
         with pytest.raises(ValueError):
             encode_at_target_bitrate(codec, scene_frame, 100_000, fps=0)
 
+    @pytest.mark.parametrize(
+        "arguments",
+        [{"max_iterations": 0}, {"max_iterations": -3}, {"tolerance": -0.01}, {"tolerance": float("nan")}],
+        ids=["no-iterations", "negative-iterations", "negative-tolerance", "nan-tolerance"],
+    )
+    def test_invalid_search_arguments(self, codec, scene_frame, arguments):
+        # max_iterations=0 used to end on a bare AssertionError (a None
+        # unpacking under python -O); a negative tolerance searched on.
+        with pytest.raises(ValueError):
+            encode_at_target_bitrate(codec, scene_frame, 100_000, fps=2.0, **arguments)
+
+    def test_nan_base_qp_map_is_rejected(self, codec, scene_frame):
+        # It used to come back as a result with qp_offset=nan.
+        base = np.full(codec.block_grid_shape(*scene_frame.shape), 30.0)
+        base[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            encode_at_target_bitrate(codec, scene_frame, 100_000, fps=2.0, base_qp_map=base)
+
 
 def assert_same_encoding(first, second):
     """Every :class:`EncodedFrame` field is equal, arrays bit for bit and dtype too."""
@@ -239,6 +279,97 @@ class TestTransformOnce:
             timestamp=2.5,
         )
         assert_same_encoding(result.encoded, direct)
+
+
+def oracle_bits_per_block(quantised, header_bits_per_block):
+    """The log2 bit count ``BlockCodec`` used before it read float exponents."""
+    magnitude = np.abs(quantised).astype(np.float64)
+    nonzero = magnitude > 0
+    coefficient_bits = np.where(nonzero, 2.0 * np.floor(np.log2(np.maximum(magnitude, 1))) + 3.0, 0.0)
+    return coefficient_bits.sum(axis=(2, 3)) + header_bits_per_block
+
+
+def oracle_encode(codec, frame, qp):
+    """``BlockCodec.encode`` as it was: ``np.round`` to int32, then the log2 bit count."""
+    height, width = frame.shape
+    qp_map = codec._expand_qp_map(qp, height, width)
+    steps = codec.config.quantisation_step(qp_map)[:, :, None, None]
+    quantised = np.round(frame.coefficients / steps).astype(np.int32)
+    bits_per_block = oracle_bits_per_block(quantised, codec.config.header_bits_per_block)
+    return EncodedFrame(
+        frame_id=0,
+        timestamp=0.0,
+        shape=(height, width),
+        padded_shape=frame.padded_shape,
+        block_size=codec.config.block_size,
+        qp_map=qp_map,
+        quantised=quantised,
+        bits_per_block=bits_per_block,
+        total_bits=float(bits_per_block.sum()) + codec.config.frame_header_bits,
+    )
+
+
+class TestBitCountKernel:
+    """The exponent-field bit count equals the log2 formula it replaced."""
+
+    # At base_step 1 and QP 4 the quantisation step is exactly 1.0, so each
+    # coefficient quantises to itself rounded half to even.
+    EXACT_STEP_QP = 4
+
+    @staticmethod
+    def _crafted_frame(values, block=16):
+        """One block per value (rest zero), then blocks holding all values at once."""
+        values = np.asarray(values, dtype=np.float64)
+        per_block = block * block
+        mixed = int(np.ceil(values.size / per_block))
+        coefficients = np.zeros((values.size + mixed, block, block))
+        coefficients[np.arange(values.size), 0, 0] = values
+        coefficients[values.size :].reshape(-1)[: values.size] = values
+        coefficients = coefficients.reshape(1, -1, block, block)
+        width = coefficients.shape[1] * block
+        return TransformedFrame(shape=(block, width), padded_shape=(block, width), coefficients=coefficients)
+
+    @staticmethod
+    def _magnitudes():
+        edges = {1, 2**31 - 1}
+        for k in range(1, 31):
+            edges.update((2**k - 1, 2**k, 2**k + 1))
+        return sorted(edges)
+
+    def test_per_block_bits_on_power_of_two_edges(self):
+        codec = BlockCodec(CodecConfig(base_step=1.0))
+        assert codec.config.quantisation_step(self.EXACT_STEP_QP) == 1.0
+        magnitudes = self._magnitudes()
+        values = [0.0, -0.0] + magnitudes + [-m for m in magnitudes]
+        frame = self._crafted_frame(values)
+        encoded = codec.encode(frame, self.EXACT_STEP_QP)
+        assert np.array_equal(encoded.quantised[0, : len(values), 0, 0], np.asarray(values, dtype=np.int32))
+        expected = oracle_bits_per_block(encoded.quantised, codec.config.header_bits_per_block)
+        assert encoded.bits_per_block.dtype == np.float64
+        assert np.array_equal(encoded.bits_per_block, expected)
+        # Spot values of 2*floor(log2 m) + 3 on top of the 12-bit block header.
+        bits = dict(zip(values, encoded.bits_per_block[0, : len(values)] - codec.config.header_bits_per_block))
+        assert bits[0.0] == 0 and bits[1] == 3 and bits[-1] == 3
+        assert bits[2**10 - 1] == 2 * 9 + 3 and bits[2**10] == 2 * 10 + 3 and bits[-(2**10 + 1)] == 2 * 10 + 3
+        assert bits[2**30] == 2 * 30 + 3 and bits[2**31 - 1] == 2 * 30 + 3
+
+    def test_fractional_coefficients_round_like_the_oracle(self):
+        # Halves round to even, and small negatives round to -0.0 (0 bits).
+        codec = BlockCodec(CodecConfig(base_step=1.0))
+        values = [0.5, 1.5, 2.5, -0.5, -1.5, -0.3, 0.49, 3.5, -7.5, 1023.5, 1024.5, -(2**20) - 0.5]
+        frame = self._crafted_frame(values)
+        assert_same_encoding(codec.encode(frame, self.EXACT_STEP_QP), oracle_encode(codec, frame, self.EXACT_STEP_QP))
+
+    @pytest.mark.parametrize(
+        "kind, height, width",
+        [(kind, 120, 216) for kind in sorted(SCENE_BUILDERS)] + [("sports", 100, 150)],  # 100x150 is ragged
+    )
+    def test_scene_encodings_match_the_oracle(self, codec, kind, height, width):
+        frame = codec.transform(SCENE_BUILDERS[kind](seed=3, height=height, width=width).render(0))
+        grid = frame.coefficients.shape[:2]
+        rng = np.random.default_rng(height + sorted(SCENE_BUILDERS).index(kind))
+        for qp in [0, 15, 30, 45, 51, np.full(grid, 27.0), rng.uniform(MIN_QP, MAX_QP, size=grid)]:
+            assert_same_encoding(codec.encode(frame, qp), oracle_encode(codec, frame, qp))
 
 
 class TestQualityMetrics:
