@@ -4,9 +4,7 @@ Demonstrates the open-question prototypes on a park scene:
 
 * proactive context awareness (no user words yet),
 * semantic layered streaming (base layer now, enhancement layers offline),
-* long-term memory built from the enhancement layers,
-* context-aware token pruning to cut inference latency,
-* client/cloud model collaboration for easy questions.
+* context-aware token pruning to cut inference latency.
 
 Run with:  python examples/context_aware_extensions.py
 """
@@ -20,7 +18,6 @@ from repro.core import (
     PruningConfig,
     SemanticLayeredEncoder,
 )
-from repro.mllm import LongTermMemory, ModelCollaboration
 from repro.video import make_park_scene
 
 
@@ -29,7 +26,6 @@ def main() -> None:
     source = scene.to_source()
     frame = source.frame_at(0)
     ear_fact = next(f for f in scene.facts if f.key == "ear_type")
-    season_fact = next(f for f in scene.facts if f.key == "season")
 
     streamer = ContextAwareStreamer()
 
@@ -50,35 +46,13 @@ def main() -> None:
     bitrates = layered_encoder.layer_bitrates_bps(layered, fps=2.0)
     print("layer bitrates (kbps):", {k: round(v / 1000, 1) for k, v in bitrates.items()})
 
-    # 4. Long-term memory ingests the enhancement layers offline, so a later
-    #    question about the season can be answered without re-streaming.
-    memory = LongTermMemory()
-    memory.ingest(season_fact, observed_quality=0.95, observed_at=frame.timestamp, scene=scene, layer="enhancement_1")
-    print("memory recall for 'what season was it?':", [e.fact.key for e in memory.recall("what season was it?")])
-    print("answer from memory:", memory.answer_from_memory(season_fact, scene.name))
-
-    # 5. Context-aware token pruning accelerates MLLM inference.
+    # 4. Context-aware token pruning accelerates MLLM inference.
     pruner = ContextAwareTokenPruner(PruningConfig(keep_ratio=0.3))
     pruning = pruner.prune(frame, reactive)
     print(
         f"token pruning: kept {pruning.kept_tokens}/{pruning.total_tokens} tokens, "
         f"saves {pruning.latency_saving_ms:.1f} ms of inference"
     )
-
-    # 6. Client/cloud collaboration: the easy spatial question is served by the
-    #    on-device model, the fine-grained ear question goes to the cloud.
-    collaboration = ModelCollaboration()
-    spatial_fact = next(f for f in scene.facts if f.key == "position")
-    frames = [source.frame_at(i) for i in (0, source.frame_count() - 1)]
-    for fact in (spatial_fact, ear_fact):
-        routed = collaboration.answer(
-            fact, scene, frames, frames, uplink_frame_bytes=40_000
-        )
-        print(
-            f"question {fact.key!r}: served by {routed.served_by}, "
-            f"correct={routed.answer.correct}, latency {routed.response_latency_ms:.0f} ms, "
-            f"uplink {routed.uplink_bytes} bytes"
-        )
 
 
 if __name__ == "__main__":

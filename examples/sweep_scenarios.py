@@ -17,9 +17,8 @@ to them — a paste-ready cross-scenario comparison.
 Cells can also execute on *other machines*: ``--serve [HOST:]PORT`` turns
 this process into a sweep coordinator that hands cells to worker agents
 (``python -m repro.distrib.worker --connect HOST:PORT``, one per machine or
-core), and ``--workers host:port,...`` dials out to persistent agents
-(``worker --listen PORT``) instead.  Results land in the same ``results/``
-tree either way — caching and ``--report`` work unchanged.
+core).  Results land in the same ``results/`` tree as a local run —
+caching and ``--report`` work unchanged.
 
 Closed-loop cells ride the same machinery: ``--controller gcc`` (or any
 preset name / inline JSON spec, see ``repro.net.control``) adds the
@@ -228,15 +227,6 @@ def main() -> None:
         ),
     )
     parser.add_argument(
-        "--workers",
-        metavar="HOST:PORT,...",
-        default=None,
-        help=(
-            "distribute cells: dial these persistent worker agents "
-            "(python -m repro.distrib.worker --listen PORT)"
-        ),
-    )
-    parser.add_argument(
         "--startup-timeout",
         type=float,
         default=120.0,
@@ -292,21 +282,19 @@ def main() -> None:
 
     backend = None
     fleet_errors: tuple[type[Exception], ...] = ()
-    if args.serve is not None or args.workers is not None:
+    if args.serve is not None:
         from repro.distrib import (
             ConfigError,
             DEFAULT_TIMEOUTS,
             DistributedBackend,
             NoWorkersError,
         )
-        from repro.distrib.protocol import parse_address
 
         fleet_errors = (NoWorkersError,)
 
         try:
             backend = DistributedBackend(
-                listen=parse_address(args.serve) if args.serve is not None else None,
-                workers=args.workers.split(",") if args.workers else None,
+                listen=args.serve,
                 timeouts=DEFAULT_TIMEOUTS.override(heartbeat_timeout_s=args.heartbeat_timeout),
                 max_requeues=args.max_requeues,
                 startup_timeout_s=args.startup_timeout,

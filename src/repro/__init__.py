@@ -12,7 +12,7 @@ Subpackages:
   ground truth, a block-DCT codec with per-block QP, rate control.
 * :mod:`repro.mllm` — the simulated MLLM side: concept embeddings, the
   MobileCLIP substitute, receiver-side sampling, tokenizers, the
-  quality-gated answer model, inference latency, memory, mobile models.
+  quality-gated answer model and inference latency.
 * :mod:`repro.devibench` — the DeViBench construction pipeline, data model,
   evaluation harness, and Table 1 / Figure 8 statistics.
 * :mod:`repro.analysis` — one experiment runner per paper table/figure.

@@ -92,11 +92,6 @@ def get_experiment(name: str) -> ExperimentSpec:
         raise KeyError(f"unknown experiment {name!r}; registered: {known}") from None
 
 
-def list_experiments() -> list[str]:
-    _ensure_registered()
-    return sorted(_REGISTRY)
-
-
 def run_experiment(name: str, **kwargs: Any) -> Any:
     """Run a registered experiment with signature-filtered kwargs."""
     return get_experiment(name).run(**kwargs)

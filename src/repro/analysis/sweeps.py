@@ -36,7 +36,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from ..core import wallclock
-from ..net.emulator import bandwidth_trace_from_spec, loss_model_from_spec
+from ..net.emulator import bandwidth_trace_from_spec, fastpath_enabled, loss_model_from_spec
 from ..obs import NULL_TELEMETRY, Telemetry
 from .registry import ExperimentSpec, get_experiment
 
@@ -335,11 +335,12 @@ def _load_or_compute_fingerprint() -> str:
 
 
 def cell_cache_key(spec: ExperimentSpec, scenario: Scenario, seed: int) -> str:
-    """Content hash of (runner source, package source tree, scenario, seed).
+    """Content hash of (runner source, package source tree, scenario, seed,
+    delivery mode).
 
     Editing the runner, any module of the ``repro`` package, the scenario,
-    or the seed invalidates the cell; an unchanged cell re-loads its
-    persisted JSON instead of re-running.
+    or the seed, or flipping ``REPRO_NET_FASTPATH``, invalidates the cell;
+    an unchanged cell re-loads its persisted JSON instead of re-running.
     """
     try:
         source = inspect.getsource(spec.fn)
@@ -352,6 +353,7 @@ def cell_cache_key(spec: ExperimentSpec, scenario: Scenario, seed: int) -> str:
             "package": _package_fingerprint(),
             "scenario": scenario.to_jsonable(),
             "seed": seed,
+            "fastpath": fastpath_enabled(),
         },
         sort_keys=True,
     )
@@ -808,28 +810,3 @@ class SweepRunner:
         with tmp.open("w", encoding="utf-8") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)
         tmp.replace(path)
-
-
-def run_sweep(
-    experiments: Sequence[str],
-    scenarios: Optional[Sequence[Scenario]] = None,
-    seeds: Sequence[int] = (0, 1, 2, 3),
-    results_dir: str | Path = DEFAULT_RESULTS_DIR,
-    processes: Optional[int] = None,
-    use_cache: bool = True,
-    backend: Optional[CellBackend] = None,
-) -> SweepReport:
-    """Convenience wrapper: build the grid and run it in one call.
-
-    ``backend`` selects where cells execute (local pool by default; a
-    :class:`repro.distrib.DistributedBackend` fans them out to worker
-    agents over the network).
-    """
-    grid = SweepGrid(
-        experiments=tuple(experiments),
-        scenarios=tuple(scenarios if scenarios is not None else default_scenarios()),
-        seeds=tuple(seeds),
-    )
-    return SweepRunner(
-        results_dir=results_dir, processes=processes, use_cache=use_cache, backend=backend
-    ).run(grid)

@@ -25,8 +25,6 @@ from .qp_map import (
     QpMapConfig,
     correlation_to_qp,
     qp_map_statistics,
-    qp_to_expected_correlation,
-    uniform_qp_map,
 )
 from .semantic_layers import (
     LayerConfig,
@@ -61,6 +59,4 @@ __all__ = [
     "UniformStreamer",
     "correlation_to_qp",
     "qp_map_statistics",
-    "qp_to_expected_correlation",
-    "uniform_qp_map",
 ]

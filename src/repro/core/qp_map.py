@@ -71,24 +71,6 @@ def correlation_to_qp(
     return qp
 
 
-def qp_to_expected_correlation(qp: Union[float, np.ndarray], config: Optional[QpMapConfig] = None) -> Union[float, np.ndarray]:
-    """Invert Equation (2) (useful for analysing an observed QP map)."""
-    config = config or QpMapConfig()
-    qp_arr = np.clip(np.asarray(qp, dtype=float), MIN_QP, config.max_qp)
-    normalised = np.power(1.0 - qp_arr / config.max_qp, 1.0 / config.gamma)
-    rho = 2.0 * normalised - 1.0
-    if np.isscalar(qp):
-        return float(rho)
-    return rho
-
-
-def uniform_qp_map(shape: tuple[int, int], qp: float) -> np.ndarray:
-    """The context-agnostic baseline: one QP everywhere."""
-    if not MIN_QP <= qp <= MAX_QP:
-        raise ValueError(f"qp must be within [{MIN_QP}, {MAX_QP}]")
-    return np.full(shape, float(qp))
-
-
 def qp_map_statistics(qp_map: np.ndarray) -> dict[str, float]:
     """Summary statistics of a QP map (used in Figure 10-style reports)."""
     qp_map = np.asarray(qp_map, dtype=float)

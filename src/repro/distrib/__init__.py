@@ -11,13 +11,13 @@ records back (:mod:`repro.distrib.worker`), and a
 into :class:`~repro.analysis.sweeps.SweepRunner` as a drop-in
 :class:`~repro.analysis.sweeps.CellBackend`.
 
-Start workers with::
+Workers always dial the coordinator.  Start one per machine or core with::
 
-    python -m repro.distrib.worker --connect HOST:PORT      # pull from a coordinator
-    python -m repro.distrib.worker --listen PORT            # persistent agent
+    python -m repro.distrib.worker --connect HOST:PORT
 
-and sweep through them with ``examples/sweep_scenarios.py --serve`` /
-``--workers`` or programmatically via ``run_sweep(..., backend=DistributedBackend(...))``.
+and sweep through them with ``examples/sweep_scenarios.py --serve`` or
+programmatically via
+``SweepRunner(..., backend=DistributedBackend(listen=...)).run(grid)``.
 """
 
 from .backend import DistributedBackend

@@ -8,15 +8,10 @@ as they stream in — the runner persists them through the exact same
 ``_persist``/results-dir format as a local sweep, so caching and
 ``repro.analysis.report`` work unchanged.
 
-Two deployment shapes:
-
-* ``DistributedBackend(listen=("0.0.0.0", 7071))`` — bind a port and let
-  workers dial in (``python -m repro.distrib.worker --connect host:7071``).
-  The port is bound at construction, so ``backend.address`` is known (and
-  printable) before the sweep starts — ephemeral ports work for tests.
-* ``DistributedBackend(workers=["hostA:7072", "hostB:7072"])`` — dial out
-  to persistent worker agents (``python -m repro.distrib.worker --listen
-  7072``); both shapes can be combined.
+``DistributedBackend(listen=("0.0.0.0", 7071))`` binds a port and lets
+workers dial in (``python -m repro.distrib.worker --connect host:7071``).
+The port is bound at construction, so ``backend.address`` is known (and
+printable) before the sweep starts — ephemeral ports work for tests.
 
 Graceful degradation: when the worker pool empties for longer than
 ``startup_timeout_s`` while cells are outstanding, the backend (by default)
@@ -31,10 +26,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from ..analysis.sweeps import CellBackend, LocalPoolBackend
-from .config import DistribTimeouts, RetryPolicy
+from .config import DistribTimeouts
 from .coordinator import NoWorkersError, SweepCoordinator
 from .protocol import parse_address
 
@@ -63,10 +58,10 @@ class DistributedBackend(CellBackend):
     when it expires depends on ``local_fallback``: finish the remaining
     cells on the local pool (default) or raise :class:`NoWorkersError`.
 
-    Timing and retry knobs come as one validated
-    :class:`~repro.distrib.config.DistribTimeouts` /
-    :class:`~repro.distrib.config.RetryPolicy` pair; ``max_requeues`` stays
-    as a convenience override for the common case.
+    Timing knobs come as one validated
+    :class:`~repro.distrib.config.DistribTimeouts`; ``max_requeues`` bounds
+    how often a lost worker's cell is re-served (default
+    :data:`~repro.distrib.config.DEFAULT_RETRY`'s).
 
     ``status_json`` names a JSONL file that receives one
     :data:`~repro.distrib.protocol.STATUS_SCHEMA` fleet snapshot per
@@ -78,11 +73,9 @@ class DistributedBackend(CellBackend):
 
     def __init__(
         self,
-        listen: Optional[AddressLike] = None,
-        workers: Optional[Sequence[AddressLike]] = None,
+        listen: AddressLike,
         fingerprint: Optional[str] = None,
         timeouts: Optional[DistribTimeouts] = None,
-        retry: Optional[RetryPolicy] = None,
         max_requeues: Optional[int] = None,
         startup_timeout_s: Optional[float] = 120.0,
         local_fallback: bool = True,
@@ -90,8 +83,6 @@ class DistributedBackend(CellBackend):
         status_json: Optional[Union[str, Path]] = None,
         status_interval_s: float = 1.0,
     ) -> None:
-        if listen is None and not workers:
-            raise ValueError("provide listen= and/or workers= so cells have somewhere to go")
         self._status_file = None
         if status_json is not None:
             path = Path(status_json)
@@ -100,7 +91,6 @@ class DistributedBackend(CellBackend):
         self.coordinator = SweepCoordinator(
             fingerprint=fingerprint,
             timeouts=timeouts,
-            retry=retry,
             max_requeues=max_requeues,
             status_interval_s=status_interval_s,
             status_sink=self._write_status if self._status_file is not None else None,
@@ -108,12 +98,9 @@ class DistributedBackend(CellBackend):
         self.startup_timeout_s = startup_timeout_s
         self.local_fallback = local_fallback
         self.fallback_processes = fallback_processes
-        self._workers = [_as_address(worker) for worker in workers or ()]
         self._used = False
-        self.address: Optional[tuple[str, int]] = None
-        if listen is not None:
-            host, port = _as_address(listen)
-            self.address = self.coordinator.bind(host, port)
+        host, port = _as_address(listen)
+        self.address = self.coordinator.bind(host, port)
 
     def _write_status(self, snapshot: dict) -> None:
         # Line-buffered JSONL with an explicit flush per frame: a tailing
@@ -143,13 +130,7 @@ class DistributedBackend(CellBackend):
             self._status_file = None
 
     def describe(self) -> str:
-        parts = []
-        if self.address is not None:
-            parts.append(f"serving on {self.address[0]}:{self.address[1]}")
-        if self._workers:
-            parts.append(
-                "dialing " + ", ".join(f"{host}:{port}" for host, port in self._workers)
-            )
+        parts = [f"serving on {self.address[0]}:{self.address[1]}"]
         if self.local_fallback:
             parts.append("local fallback on")
         return f"distributed ({'; '.join(parts)})"
@@ -162,8 +143,6 @@ class DistributedBackend(CellBackend):
             self.coordinator.close()
             return
         self.coordinator.submit([(str(position), payload) for position, payload in items])
-        if self._workers:
-            self.coordinator.connect_workers(self._workers)
         try:
             try:
                 for task_id, record in self.coordinator.results(

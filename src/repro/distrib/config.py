@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class DistribTimeouts:
     heartbeat_interval_s: float = 2.0
     #: Coordinator: silence threshold after which a worker is presumed dead.
     heartbeat_timeout_s: float = 10.0
-    #: Worker: how long the initial connect (or dial-in wait) keeps retrying.
+    #: Worker: how long the initial connect keeps retrying.
     connect_timeout_s: float = 30.0
     #: Worker: socket receive timeout for coordinator responses.
     io_timeout_s: float = 120.0
@@ -130,11 +130,6 @@ class RetryPolicy:
         if self.jitter == 0.0:
             return base
         return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
-
-    def override(self, **fields: Optional[Any]) -> "RetryPolicy":
-        """Copy with the non-``None`` fields replaced (re-validated)."""
-        updates = {key: value for key, value in fields.items() if value is not None}
-        return replace(self, **updates) if updates else self
 
 
 #: The one place the dispatcher's default timing lives.

@@ -14,15 +14,12 @@ cell reaching this coordinator is guaranteed to need execution — cached
 cells are never dispatched, and ``stats.dispatched`` counts real work only.
 
 Every timing knob comes from one validated
-:class:`~repro.distrib.config.DistribTimeouts` and every retry bound from
-one :class:`~repro.distrib.config.RetryPolicy` (see
+:class:`~repro.distrib.config.DistribTimeouts` (see
 :mod:`repro.distrib.config`) instead of scattered module constants.
 
-The coordinator is deliberately agnostic about connection direction: it can
-accept workers on a listening socket (:meth:`bind`, workers run
-``python -m repro.distrib.worker --connect``) and/or dial out to persistent
-worker agents (:meth:`connect_workers`, agents run ``--listen``); both paths
-converge on the same per-connection session.
+Workers always dial in: the coordinator accepts them on a listening socket
+(:meth:`bind`; workers run ``python -m repro.distrib.worker --connect``),
+and each accepted connection runs one per-connection session.
 """
 
 from __future__ import annotations
@@ -86,7 +83,6 @@ class CoordinatorStats:
     workers_connected: int = 0
     workers_rejected: int = 0
     workers_lost: int = 0
-    connect_failures: int = 0
     #: Late results from presumed-dead workers, dropped on arrival — each
     #: one is a cell that still resolved exactly once.
     duplicates_dropped: int = 0
@@ -118,8 +114,7 @@ class _Connection:
 class SweepCoordinator:
     """Serves sweep cells over the dispatcher protocol.
 
-    Lifecycle: construct, :meth:`bind` (and/or keep worker addresses for
-    :meth:`connect_workers`), :meth:`submit` the cells, iterate
+    Lifecycle: construct, :meth:`bind`, :meth:`submit` the cells, iterate
     :meth:`results` until every cell has resolved, then :meth:`close`.
     A coordinator serves exactly one sweep.
     """
@@ -128,15 +123,16 @@ class SweepCoordinator:
         self,
         fingerprint: Optional[str] = None,
         timeouts: Optional[DistribTimeouts] = None,
-        retry: Optional[RetryPolicy] = None,
         max_requeues: Optional[int] = None,
         status_interval_s: float = 1.0,
         status_sink: Optional[Callable[[dict], None]] = None,
     ) -> None:
         self.fingerprint = fingerprint if fingerprint is not None else _package_fingerprint()
         self.timeouts = timeouts if timeouts is not None else DEFAULT_TIMEOUTS
-        retry = retry if retry is not None else DEFAULT_RETRY
-        self.retry = retry.override(max_requeues=max_requeues)
+        # RetryPolicy validates the bound (an int >= 0).
+        self.max_requeues = (
+            DEFAULT_RETRY if max_requeues is None else RetryPolicy(max_requeues=max_requeues)
+        ).max_requeues
         if status_interval_s <= 0:
             raise ValueError(f"status_interval_s must be positive, got {status_interval_s!r}")
         self.status_interval_s = status_interval_s
@@ -163,7 +159,6 @@ class SweepCoordinator:
         # thread's stop latch, and a monotonic frame sequence number.
         self._monitors: list[MessageChannel] = []
         self._stop_status = threading.Event()
-        self._status_thread_started = False
         self._status_seq = 0
         self._started_monotonic: Optional[float] = None
 
@@ -179,17 +174,13 @@ class SweepCoordinator:
     def heartbeat_timeout_s(self) -> float:
         return self.timeouts.heartbeat_timeout_s
 
-    @property
-    def max_requeues(self) -> int:
-        return self.retry.max_requeues
-
     # -- wiring ------------------------------------------------------------
 
     def bind(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Listen for workers on ``(host, port)``; returns the bound address.
 
-        Port 0 picks an ephemeral port (tests); the accept loop runs on a
-        daemon thread until :meth:`close`.
+        Port 0 picks an ephemeral port (tests); the accept loop and the
+        status stream run on daemon threads until :meth:`close`.
         """
         if self._server is not None:
             raise RuntimeError("coordinator is already listening")
@@ -201,27 +192,8 @@ class SweepCoordinator:
         self._server = server
         self.address = server.getsockname()[:2]
         self._spawn(self._accept_loop, name="distrib-accept")
-        self._ensure_status_thread()
+        self._spawn(self._status_loop, name="distrib-status")
         return self.address
-
-    def connect_workers(self, addresses: Sequence[tuple[str, int]]) -> None:
-        """Dial out to persistent worker agents (``worker --listen``).
-
-        Each dial runs on its own thread so one unreachable agent does not
-        stall the others; failures only count in ``stats.connect_failures``
-        (the sweep proceeds on whatever workers remain).
-        """
-        for address in addresses:
-            self._spawn(self._dial, address, name=f"distrib-dial-{address[0]}:{address[1]}")
-
-    def _dial(self, address: tuple[str, int]) -> None:
-        try:
-            sock = socket.create_connection(address, timeout=self.timeouts.heartbeat_timeout_s)
-        except OSError:
-            with self._lock:
-                self.stats.connect_failures += 1
-            return
-        self._serve_connection(sock, address)
 
     def _spawn(self, target, *args, name: str) -> None:
         thread = threading.Thread(target=target, args=args, name=name, daemon=True)
@@ -255,9 +227,6 @@ class SweepCoordinator:
                 self._tasks[task_id] = payload
                 self._pending.append(task_id)
                 self._unresolved.add(task_id)
-        # Dial-out-only coordinators never call bind(); start the status
-        # stream here too so a --status-json sink still gets frames.
-        self._ensure_status_thread()
 
     def _next_action(self, connection: _Connection) -> tuple[str, Optional[str], Optional[dict]]:
         with self._lock:
@@ -312,7 +281,7 @@ class SweepCoordinator:
                     continue
                 attempts = self._requeues.get(task_id, 0) + (1 if penalize else 0)
                 self._requeues[task_id] = attempts
-                if attempts > self.retry.max_requeues:
+                if attempts > self.max_requeues:
                     exhausted.append((task_id, self._tasks[task_id]))
                 else:
                     # Front of the queue: a requeued cell was already paid
@@ -330,7 +299,7 @@ class SweepCoordinator:
                         "type": "WorkerLost",
                         "message": (
                             f"worker {connection.name} lost ({reason}); "
-                            f"giving up after {self.retry.max_requeues} requeues"
+                            f"giving up after {self.max_requeues} requeues"
                         ),
                         "traceback": "",
                         # Attribution for the failure-hotspot report: which
@@ -413,13 +382,6 @@ class SweepCoordinator:
                 "done": self._submitted and not self._unresolved,
             }
 
-    def _ensure_status_thread(self) -> None:
-        with self._lock:
-            if self._status_thread_started or self._closed:
-                return
-            self._status_thread_started = True
-        self._spawn(self._status_loop, name="distrib-status")
-
     def _status_loop(self) -> None:
         while not self._stop_status.wait(self.status_interval_s):
             self._emit_status()
@@ -473,7 +435,6 @@ class SweepCoordinator:
         connection = _Connection(channel=channel, name=f"{addr[0]}:{addr[1]}")
         registered = False
         try:
-            sock.settimeout(self.timeouts.heartbeat_timeout_s)
             channel.send(
                 "hello",
                 role="coordinator",
@@ -671,7 +632,7 @@ class SweepCoordinator:
         # One terminal frame (``done`` true on a completed sweep, final
         # counters either way) so sinks and monitors see how it ended
         # before the stream stops.
-        if self._status_thread_started:
+        if self._server is not None:
             self._emit_status()
         self._stop_status.set()
         self._closed = True

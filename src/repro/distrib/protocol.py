@@ -2,9 +2,8 @@
 
 Every message on the wire is a 4-byte big-endian length followed by that
 many bytes of UTF-8 JSON encoding one object with at least a ``"type"``
-key.  The framing is symmetric — either side may speak first — so the same
-session logic runs whether the coordinator accepted the worker's connection
-or dialed out to a persistent worker agent.
+key.  Workers dial the coordinator; once connected, the coordinator speaks
+first (its ``hello``).
 
 Message vocabulary (all extra keys are ignored by the receiver, so the
 protocol can grow backwards-compatibly):
@@ -212,13 +211,10 @@ class MessageChannel:
             pass
 
 
-def parse_address(text: str, default_host: str = "127.0.0.1") -> tuple[str, int]:
-    """Parse ``HOST:PORT`` (or bare ``PORT``) into an address tuple."""
-    host, sep, port = text.rpartition(":")
-    if not sep:
-        host, port = default_host, text
-    host = host or default_host
+def parse_address(text: str) -> tuple[str, int]:
+    """Parse ``HOST:PORT`` (or bare ``PORT``, meaning localhost) into an address tuple."""
+    host, _, port = text.rpartition(":")
     try:
-        return host, int(port)
+        return host or "127.0.0.1", int(port)
     except ValueError as exc:
         raise ValueError(f"invalid address {text!r}: expected HOST:PORT") from exc

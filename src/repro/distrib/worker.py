@@ -6,10 +6,6 @@ Run one per machine (or per core) against a coordinator started by
 
     python -m repro.distrib.worker --connect HOST:PORT
 
-or as a persistent agent the coordinator dials out to (``--workers``)::
-
-    python -m repro.distrib.worker --listen PORT
-
 Before accepting any work the worker verifies the coordinator's package
 fingerprint against its own source tree: sweep cache keys fold in that
 fingerprint, so a worker running different code would poison the results
@@ -200,8 +196,7 @@ def _run_session(
 
 
 def run_worker(
-    connect: Optional[tuple[str, int]] = None,
-    listen: Optional[tuple[str, int]] = None,
+    connect: tuple[str, int],
     fingerprint: Optional[str] = None,
     worker_name: Optional[str] = None,
     executor: Optional[Callable[[dict], dict]] = None,
@@ -215,10 +210,8 @@ def run_worker(
 ) -> WorkerOutcome:
     """Run one worker session (the in-process entry point; the CLI wraps it).
 
-    Exactly one of ``connect`` (dial the coordinator, retrying with the
-    ``retry`` policy's jittered exponential backoff until
-    ``connect_timeout_s``) or ``listen`` (accept a single coordinator
-    connection, e.g. from a dial-out ``DistributedBackend``) must be given.
+    Dials the coordinator at ``connect``, retrying with the ``retry``
+    policy's jittered exponential backoff until ``connect_timeout_s``.
     ``fingerprint`` and ``executor`` exist for tests; they default to the
     real source-tree fingerprint and the fault-isolated cell executor.
 
@@ -233,41 +226,23 @@ def run_worker(
     ``channel_factory`` wraps the connected socket (default
     :class:`MessageChannel`); the chaos harness injects its fault layer here.
     """
-    if (connect is None) == (listen is None):
-        raise ValueError("exactly one of connect= or listen= is required")
     fingerprint = fingerprint if fingerprint is not None else _package_fingerprint()
     worker_name = worker_name or _default_worker_name()
     executor = executor or execute_cell_record
     retry = retry if retry is not None else DEFAULT_RETRY
 
-    if connect is not None:
-        backoff_rng = np.random.default_rng(backoff_seed(worker_name))
-        deadline = wallclock.monotonic() + connect_timeout_s
-        attempt = 0
-        while True:
-            try:
-                sock = socket.create_connection(connect, timeout=2.0)
-                break
-            except OSError as exc:
-                if wallclock.monotonic() >= deadline:
-                    return WorkerOutcome(
-                        "connect_failed", detail=f"{connect[0]}:{connect[1]}: {exc}"
-                    )
-                time.sleep(retry.delay_s(attempt, backoff_rng))
-                attempt += 1
-    else:
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    backoff_rng = np.random.default_rng(backoff_seed(worker_name))
+    deadline = wallclock.monotonic() + connect_timeout_s
+    attempt = 0
+    while True:
         try:
-            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            server.bind(listen)
-            server.listen(1)
-            server.settimeout(connect_timeout_s)
-            try:
-                sock, _ = server.accept()
-            except (TimeoutError, socket.timeout):
-                return WorkerOutcome("connect_failed", detail="no coordinator dialed in")
-        finally:
-            server.close()
+            sock = socket.create_connection(connect, timeout=2.0)
+            break
+        except OSError as exc:
+            if wallclock.monotonic() >= deadline:
+                return WorkerOutcome("connect_failed", detail=f"{connect[0]}:{connect[1]}: {exc}")
+            time.sleep(retry.delay_s(attempt, backoff_rng))
+            attempt += 1
 
     sock.settimeout(io_timeout_s)
     channel = channel_factory(sock) if channel_factory is not None else MessageChannel(sock)
@@ -294,16 +269,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Sweep worker agent: pulls cells from a coordinator and executes them."
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
+    parser.add_argument(
         "--connect",
         metavar="HOST:PORT",
+        required=True,
         help="dial a coordinator (examples/sweep_scenarios.py --serve)",
-    )
-    mode.add_argument(
-        "--listen",
-        metavar="[HOST:]PORT",
-        help="run as a persistent agent; coordinators dial in (--workers)",
     )
     parser.add_argument(
         "--max-cells", type=int, default=None, help="disconnect after this many cells"
@@ -312,7 +282,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--connect-timeout",
         type=float,
         default=DEFAULT_TIMEOUTS.connect_timeout_s,
-        help="seconds to keep retrying the initial connect (or awaiting a dial-in)",
+        help="seconds to keep retrying the initial connect",
     )
     parser.add_argument(
         "--io-timeout",
@@ -332,57 +302,38 @@ def main(argv: Optional[list[str]] = None) -> int:
         type=int,
         default=0,
         metavar="N",
-        help="with --connect: on disconnect/crash, redial up to N times, "
+        help="on disconnect/crash, redial up to N times, "
         "re-offering already-completed cells from the in-memory cache",
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="with --listen: exit after serving one coordinator instead of looping",
     )
     args = parser.parse_args(argv)
 
-    common = dict(
-        worker_name=args.name,
-        heartbeat_interval_s=args.heartbeat,
-        connect_timeout_s=args.connect_timeout,
-        io_timeout_s=args.io_timeout,
-        max_cells=args.max_cells,
-    )
-
-    def _report(outcome: WorkerOutcome) -> None:
+    address = parse_address(args.connect)
+    cache = WorkerCellCache()
+    redials = 0
+    while True:
+        outcome = run_worker(
+            connect=address,
+            worker_name=args.name,
+            heartbeat_interval_s=args.heartbeat,
+            connect_timeout_s=args.connect_timeout,
+            io_timeout_s=args.io_timeout,
+            max_cells=args.max_cells,
+            cache=cache,
+        )
         print(
             f"worker {outcome.status}: {outcome.completed} cells"
             + (f" ({outcome.detail})" if outcome.detail else "")
         )
-
-    if args.connect is not None:
-        address = parse_address(args.connect)
-        cache = WorkerCellCache()
-        redials = 0
-        while True:
-            outcome = run_worker(connect=address, cache=cache, **common)
-            _report(outcome)
-            # Reconnect only on involuntary endings; "done"/"rejected" are
-            # final, and connect_failed means the coordinator never existed.
-            if outcome.status not in ("disconnected", "crashed") or redials >= args.reconnect:
-                return 0 if outcome.ok else 2
-            redials += 1
-            if cache.hits or cache.stores:
-                print(
-                    f"worker reconnecting ({redials}/{args.reconnect}) with "
-                    f"{len(cache.records)} cached cell(s) to re-offer"
-                )
-
-    # A persistent agent must be reachable from other machines, so the bare
-    # ``--listen PORT`` form binds every interface (unlike --connect, where
-    # a bare port means the local coordinator).
-    address = parse_address(args.listen, default_host="0.0.0.0")
-    while True:
-        outcome = run_worker(listen=address, **common)
-        _report(outcome)
-        if args.once:
+        # Reconnect only on involuntary endings; "done"/"rejected" are
+        # final, and connect_failed means the coordinator never existed.
+        if outcome.status not in ("disconnected", "crashed") or redials >= args.reconnect:
             return 0 if outcome.ok else 2
+        redials += 1
+        if cache.hits or cache.stores:
+            print(
+                f"worker reconnecting ({redials}/{args.reconnect}) with "
+                f"{len(cache.records)} cached cell(s) to re-offer"
+            )
 
 
 if __name__ == "__main__":

@@ -4,8 +4,7 @@ Everything the paper needs from the AI side of AI Video Chat, simulated so
 that it runs offline on a laptop: a shared text/image concept space, a
 MobileCLIP-style correlation map (Equation 1), the receiver-side frame
 sampler (≤2 FPS, ≤602,112 pixels), continuous/discrete video tokenizers, a
-quality-gated simulated MLLM, the inference latency model, long-term memory,
-and client/cloud model collaboration.
+quality-gated simulated MLLM and the inference latency model.
 """
 
 from .clip import ClipConfig, ClipTextEncoder, CorrelationMap, MobileClip
@@ -23,8 +22,6 @@ from .inference import (
     default_inference_config,
     transmission_budget_ms,
 )
-from .memory import LongTermMemory, MemoryEntry
-from .mobile import CollaborationConfig, ModelCollaboration, RoutedAnswer
 from .model import (
     GLM_4_5V,
     MODE_FREE_RESPONSE,
@@ -57,7 +54,6 @@ from .tokenizer import (
 )
 
 __all__ = [
-    "CollaborationConfig",
     "ClipConfig",
     "ClipTextEncoder",
     "ConceptSpace",
@@ -73,19 +69,15 @@ __all__ = [
     "GLM_4_5V",
     "InferenceConfig",
     "LatencyBudget",
-    "LongTermMemory",
-    "MemoryEntry",
     "MllmAnswer",
     "MllmProfile",
     "MobileClip",
     "MODE_FREE_RESPONSE",
     "MODE_MULTIPLE_CHOICE",
     "MOBILE_MLLM",
-    "ModelCollaboration",
     "QWEN2_5_OMNI",
     "QWEN3_VL_PLUS",
     "ReceiverSampler",
-    "RoutedAnswer",
     "SamplerConfig",
     "SamplingReport",
     "SimulatedMLLM",

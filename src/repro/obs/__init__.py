@@ -32,8 +32,6 @@ from .metrics import (
     Histogram,
     MetricError,
     MetricRegistry,
-    fault_metric,
-    vocab_names,
     worker_metric,
 )
 from .trace import CLOCKS, NULL_TRACE, TRACE_SCHEMA, Span, TraceError, TraceRecorder
@@ -81,7 +79,5 @@ __all__ = [
     "TraceError",
     "TraceRecorder",
     "WORKER_COUNTER_FIELDS",
-    "fault_metric",
-    "vocab_names",
     "worker_metric",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 
 class MetricError(ValueError):
@@ -237,11 +237,6 @@ def worker_metric(field: str) -> str:
     return f"fleet.worker.{field}"
 
 
-def fault_metric(error_type: str) -> str:
-    """Canonical metric name for a fault-class counter (by error type)."""
-    return f"fleet.faults.{error_type}"
-
-
 #: Metric vocabulary: canonical name -> one-line meaning.  Instrumentation
 #: and docs/OBSERVABILITY.md both draw from this table; tests assert that
 #: emitted names stay inside it.
@@ -277,8 +272,3 @@ METRIC_VOCAB = {
         for field in WORKER_COUNTER_FIELDS
     },
 }
-
-
-def vocab_names() -> Iterable[str]:
-    """All canonical metric names (docs + tests iterate this)."""
-    return sorted(METRIC_VOCAB)

@@ -158,6 +158,10 @@ class BlockCodec:
             raise ValueError("pixels must be finite")
         padded = _pad_to_blocks(pixels, self.config.block_size)
         coefficients = dctn(_to_blocks(padded, self.config.block_size), axes=(2, 3), norm="ortho")
+        # Every QP's step is at least QP 0's, so this bounds ``quantised`` to int32.
+        peak = max(coefficients.max(initial=0.0), -coefficients.min(initial=0.0))
+        if peak / self.config.quantisation_step(MIN_QP) > 2**31 - 1:
+            raise ValueError("pixels too large: a quantised coefficient would overflow int32")
         coefficients.flags.writeable = False
         return TransformedFrame(shape=pixels.shape, padded_shape=padded.shape, coefficients=coefficients)
 

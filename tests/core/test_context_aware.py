@@ -14,11 +14,15 @@ from repro.core import (
     UniformStreamer,
     correlation_to_qp,
     qp_map_statistics,
-    qp_to_expected_correlation,
-    uniform_qp_map,
 )
 from repro.net import BernoulliLoss, PathConfig
-from repro.video import VideoFrame, make_sports_scene, region_quality
+from repro.video import MIN_QP, VideoFrame, make_sports_scene, region_quality
+
+
+def qp_to_expected_correlation(qp, config):
+    """Invert Equation (2): the analytic oracle of ``correlation_to_qp``."""
+    qp = np.clip(qp, MIN_QP, config.max_qp)
+    return 2.0 * (1.0 - qp / config.max_qp) ** (1.0 / config.gamma) - 1.0
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +100,9 @@ class TestQpMapping:
         assert correlation_to_qp(-1.0, config) == pytest.approx(40.0)
 
     def test_uniform_map_and_statistics(self):
-        qp_map = uniform_qp_map((4, 6), 35.0)
-        stats = qp_map_statistics(qp_map)
+        stats = qp_map_statistics(np.full((4, 6), 35.0))
         assert stats["mean_qp"] == pytest.approx(35.0)
         assert stats["std_qp"] == pytest.approx(0.0)
-        with pytest.raises(ValueError):
-            uniform_qp_map((2, 2), 99.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for the simulated MLLM, sampler, inference model, tokenizers, memory, mobile."""
+"""Tests for the simulated MLLM, sampler, inference model and tokenizers."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from repro.mllm import (
     DEFAULT_MAX_PIXELS,
     InferenceConfig,
     LatencyBudget,
-    LongTermMemory,
     MOBILE_MLLM,
-    ModelCollaboration,
     QWEN2_5_OMNI,
     ReceiverSampler,
     SamplerConfig,
@@ -248,51 +246,3 @@ class TestTokenizers:
         with pytest.raises(ValueError):
             TokenizerConfig(codebook_size=1)
 
-
-class TestMemoryAndCollaboration:
-    def test_memory_recalls_relevant_fact(self, scene):
-        memory = LongTermMemory()
-        fact = next(f for f in scene.facts if f.key == "score")
-        memory.ingest(fact, observed_quality=0.95, observed_at=0.0, scene=scene)
-        recalled = memory.recall("what was the score of the game?")
-        assert recalled and recalled[0].fact.key == "score"
-        assert memory.answer_from_memory(fact, scene.name) == fact.value
-
-    def test_low_quality_memory_is_not_recallable(self, scene):
-        memory = LongTermMemory()
-        fact = next(f for f in scene.facts if f.key == "score")
-        memory.ingest(fact, observed_quality=0.3, observed_at=0.0, scene=scene)
-        assert memory.answer_from_memory(fact, scene.name) is None
-
-    def test_memory_keeps_best_observation(self, scene):
-        memory = LongTermMemory()
-        fact = scene.facts[0]
-        memory.ingest(fact, observed_quality=0.4, observed_at=0.0, scene=scene)
-        memory.ingest(fact, observed_quality=0.9, observed_at=1.0, scene=scene)
-        assert len(memory) == 1
-        assert memory.entries[0].observed_quality == pytest.approx(0.9)
-
-    def test_memory_coverage(self, scene):
-        memory = LongTermMemory()
-        for fact in scene.facts:
-            memory.ingest(fact, observed_quality=1.0, observed_at=0.0, scene=scene)
-        assert memory.coverage(scene.facts, scene.name) == pytest.approx(1.0)
-
-    def test_collaboration_routes_easy_questions_locally(self, scene, codec):
-        collaboration = ModelCollaboration()
-        decoded, originals = _frames(scene, qp=5, codec=codec)
-        easy = next(f for f in scene.facts if f.detail_scale <= 0.1)
-        hard = next(f for f in scene.facts if f.detail_scale >= 0.85)
-        easy_routed = collaboration.answer(easy, scene, originals, originals, uplink_frame_bytes=50_000)
-        hard_routed = collaboration.answer(hard, scene, originals, originals, uplink_frame_bytes=50_000)
-        assert easy_routed.served_by == "local"
-        assert easy_routed.uplink_bytes == 0
-        assert hard_routed.served_by == "cloud"
-        assert hard_routed.uplink_bytes == 50_000
-
-    def test_collaboration_evaluate(self, scene, codec):
-        collaboration = ModelCollaboration()
-        decoded, originals = _frames(scene, qp=5, codec=codec)
-        report = collaboration.evaluate(scene.facts, scene, originals, originals, uplink_frame_bytes=10_000)
-        assert 0.0 <= report["accuracy"] <= 1.0
-        assert 0.0 <= report["local_fraction"] <= 1.0

@@ -108,6 +108,18 @@ class TestBlockCodecRoundtrip:
         with pytest.raises(ValueError):
             codec.encode(frame, 30)
 
+    def test_rejects_pixels_whose_coefficients_overflow_int32(self, codec):
+        # The 16x16 DC coefficient is 16x the pixel value; at QP 0 (step
+        # about 0.252) 1e8 quantises past 2**31 - 1, 1e7 stays inside.
+        frame = np.full((16, 16), 1e8)
+        with pytest.raises(ValueError, match="int32"):
+            codec.transform(frame)
+        with pytest.raises(ValueError, match="int32"):
+            codec.encode(frame, 0)
+        encoded = codec.encode(np.full((16, 16), 1e7), 0)
+        step = codec.config.quantisation_step(MIN_QP)
+        assert encoded.quantised[0, 0, 0, 0] == np.rint(16e7 / step)
+
     def test_size_bytes_consistent_with_bits(self, codec, scene_frame):
         encoded = codec.encode(scene_frame, 30)
         assert encoded.size_bytes == int(np.ceil(encoded.total_bits / 8))
