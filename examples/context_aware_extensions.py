@@ -41,7 +41,7 @@ def main() -> None:
     print("proactive: most relevant patches", importance.top_patches(3))
 
     # 3. Semantic layered streaming: base layer now, enhancement layers later.
-    layered_encoder = SemanticLayeredEncoder(codec=streamer.codec)
+    layered_encoder = SemanticLayeredEncoder()
     layered = layered_encoder.encode(frame.pixels, reactive)
     bitrates = layered_encoder.layer_bitrates_bps(layered, fps=2.0)
     print("layer bitrates (kbps):", {k: round(v / 1000, 1) for k, v in bitrates.items()})

@@ -250,7 +250,7 @@ def main() -> None:
         default=None,
         help=(
             "times a cell is re-served after its worker dies before it "
-            "resolves to an error record (default: RetryPolicy default)"
+            "resolves to an error record (default: 2)"
         ),
     )
     parser.add_argument(

@@ -29,7 +29,12 @@ from ..devibench.pipeline import PipelineReport, build_benchmark
 from ..devibench.videos import VideoCollection
 from ..mllm.clip import MobileClip
 from ..mllm.model import MODE_MULTIPLE_CHOICE, SimulatedMLLM
-from ..mllm.sampler import ReceiverSampler, SamplerConfig, perceived_throughput_bps, sender_throughput_bps
+from ..mllm.sampler import (
+    DEFAULT_MAX_FPS,
+    ReceiverSampler,
+    perceived_throughput_bps,
+    sender_throughput_bps,
+)
 from ..mllm.tokenizer import (
     DiscreteTokenizer,
     TokenizerConfig,
@@ -69,11 +74,7 @@ from .registry import experiment
 # ---------------------------------------------------------------------------
 
 
-@experiment(
-    "figure2_redundancy",
-    description="Sender vs MLLM-perceived throughput (capture redundancy)",
-    default_scenario={"loss_model": {"kind": "bernoulli", "loss_rate": 0.0}},
-)
+@experiment("figure2_redundancy", description="Sender vs MLLM-perceived throughput (capture redundancy)")
 def run_figure2_redundancy(
     capture_fps: float = 60.0,
     duration_s: float = 2.0,
@@ -94,7 +95,7 @@ def run_figure2_redundancy(
     source = scene.to_source()
     frames = [source.frame_at(index) for index in range(source.frame_count())]
     captured_count = len(frames)
-    sampler = ReceiverSampler(SamplerConfig())
+    sampler = ReceiverSampler()
     if loss_model is not None:
         model = copy.deepcopy(loss_model)
         rng = np.random.default_rng(seed)
@@ -104,7 +105,7 @@ def run_figure2_redundancy(
             # silently falling back to the lossless stream.
             return {
                 "capture_fps": capture_fps,
-                "mllm_fps": sampler.config.max_fps,
+                "mllm_fps": DEFAULT_MAX_FPS,
                 "sender_throughput_bps": 0.0,
                 "perceived_throughput_bps": 0.0,
                 "frame_redundancy": 0.0,
@@ -114,7 +115,7 @@ def run_figure2_redundancy(
     _, report = sampler.prepare(frames)
     return {
         "capture_fps": capture_fps,
-        "mllm_fps": sampler.config.max_fps,
+        "mllm_fps": DEFAULT_MAX_FPS,
         "sender_throughput_bps": sender_throughput_bps(report, duration_s),
         "perceived_throughput_bps": perceived_throughput_bps(report, duration_s),
         "frame_redundancy": report.frame_redundancy,
@@ -139,11 +140,7 @@ class Figure3Row:
     delivery_ratio: float
 
 
-@experiment(
-    "figure3_latency",
-    description="Frame transmission latency vs bitrate and loss",
-    default_scenario={"loss_model": {"kind": "bernoulli", "loss_rate": 0.01}},
-)
+@experiment("figure3_latency", description="Frame transmission latency vs bitrate and loss")
 def run_figure3_latency(
     bitrates_bps: Sequence[float] = (200_000, 1_000_000, 4_000_000, 8_000_000, 12_000_000),
     loss_rates: Sequence[float] = (0.0, 0.01, 0.05),
@@ -223,11 +220,9 @@ def run_figure4_context_dependence(
         originals = [frame]
         results[label] = {
             "coarse_question_correct": mllm.answer_question(
-                coarse_fact, scene, decoded * 2, originals * 2, apply_frame_sampling=False
+                coarse_fact, scene, decoded * 2, originals * 2
             ).correct,
-            "detail_question_correct": mllm.answer_question(
-                detail_fact, scene, decoded, originals, apply_frame_sampling=False
-            ).correct,
+            "detail_question_correct": mllm.answer_question(detail_fact, scene, decoded, originals).correct,
         }
     return results
 
@@ -319,11 +314,7 @@ class Figure9Point:
     accuracy: float
 
 
-@experiment(
-    "figure9_accuracy",
-    description="MLLM accuracy vs bitrate, baseline vs context-aware",
-    default_scenario={"loss_model": {"kind": "bernoulli", "loss_rate": 0.0}},
-)
+@experiment("figure9_accuracy", description="MLLM accuracy vs bitrate, baseline vs context-aware")
 def run_figure9_accuracy(
     benchmark: Optional[DeViBench] = None,
     bitrates_bps: Sequence[float] = (850_000.0, 430_000.0, 200_000.0),
@@ -642,14 +633,6 @@ def run_token_streaming_feasibility(
 @experiment(
     "closed_loop_session",
     description="Feedback-driven session: receiver reports, congestion control, ABR, FEC",
-    default_scenario={
-        "loss_model": {"kind": "bernoulli", "loss_rate": 0.01},
-        "controller": {
-            "kind": "closed_loop",
-            "estimator": {"kind": "gcc"},
-            "abr": {"kind": "throughput"},
-        },
-    },
 )
 def run_closed_loop_session(
     controller: Optional[dict] = None,
@@ -725,7 +708,7 @@ def run_closed_loop_session(
 # ---------------------------------------------------------------------------
 
 
-@experiment("end_to_end_turn", description="One full dialogue turn with latency budget", default_scenario={"loss_model": {"kind": "bernoulli", "loss_rate": 0.02}})
+@experiment("end_to_end_turn", description="One full dialogue turn with latency budget")
 def run_end_to_end_turn(
     context_aware: bool = True,
     target_bitrate_bps: float = 400_000.0,

@@ -10,14 +10,12 @@ transmission latencies from the event simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..mllm.inference import (
     DEFAULT_AUDIO_ONLY_FLOOR_MS,
     DEFAULT_RESPONSE_BUDGET_MS,
-    InferenceConfig,
     LatencyBudget,
-    default_inference_config,
+    first_response_latency_ms,
 )
 from ..net.abr import expected_frame_latency
 
@@ -38,12 +36,8 @@ class BudgetScenario:
     jitter_buffer_ms: float = 0.0
 
 
-def budget_for_scenario(
-    scenario: BudgetScenario,
-    inference_config: Optional[InferenceConfig] = None,
-) -> LatencyBudget:
+def budget_for_scenario(scenario: BudgetScenario) -> LatencyBudget:
     """Assemble the latency budget of one scenario."""
-    inference_config = inference_config or default_inference_config()
     transmission_s = expected_frame_latency(
         scenario.bitrate_bps,
         fps=scenario.fps,
@@ -52,7 +46,7 @@ def budget_for_scenario(
         rtt_s=2 * scenario.one_way_delay_s,
         propagation_delay_s=scenario.one_way_delay_s,
     )
-    inference_ms = inference_config.first_response_latency_ms(scenario.visual_tokens)
+    inference_ms = first_response_latency_ms(scenario.visual_tokens)
     return LatencyBudget(
         response_target_ms=DEFAULT_RESPONSE_BUDGET_MS,
         capture_ms=1000.0 / 60.0,

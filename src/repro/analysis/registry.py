@@ -8,34 +8,28 @@ experiment out across a process pool: workers receive only the experiment
 *name* plus a JSON scenario and rebuild everything locally.
 
 Runners register themselves with the :func:`experiment` decorator.  A spec
-records the callable, a short description, and the default scenario the
-experiment was originally reported at, so sweeps can diff a cell's scenario
-against the paper's operating point.
+records the callable and a short description.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A registered experiment runner.
 
-    ``default_scenario`` documents the operating point the paper reports
-    (loss model spec, seed, ...); it is informational and merged under any
-    sweep-provided scenario.  ``accepted_kwargs`` is derived from the
-    runner's signature and used to filter scenario-derived kwargs so that a
-    scenario carrying e.g. a bandwidth trace can still drive an experiment
-    that has no use for one.
+    ``accepted_kwargs`` is derived from the runner's signature and used to
+    filter scenario-derived kwargs so that a scenario carrying e.g. a
+    bandwidth trace can still drive an experiment that has no use for one.
     """
 
     name: str
     fn: Callable[..., Any]
     description: str = ""
-    default_scenario: dict = field(default_factory=dict)
     accepted_kwargs: frozenset[str] = frozenset()
 
     def supported(self, kwargs: dict[str, Any]) -> dict[str, Any]:
@@ -50,9 +44,7 @@ _REGISTRY: dict[str, ExperimentSpec] = {}
 
 
 def experiment(
-    name: str,
-    description: str = "",
-    default_scenario: Optional[dict] = None,
+    name: str, description: str = ""
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator registering a runner under ``name``.
 
@@ -74,7 +66,6 @@ def experiment(
             name=name,
             fn=fn,
             description=description or (doc_lines[0] if doc_lines else ""),
-            default_scenario=dict(default_scenario or {}),
             accepted_kwargs=accepted,
         )
         return fn

@@ -246,40 +246,6 @@ def _compute_package_fingerprint() -> str:
     return digest.hexdigest()
 
 
-#: Env var overriding where the fingerprint memo lives (useful for tests and
-#: read-only home directories).  An empty value disables the memo.
-FINGERPRINT_MEMO_ENV = "REPRO_FINGERPRINT_CACHE"
-
-
-def _fingerprint_memo_path() -> Optional[Path]:
-    configured = os.environ.get(FINGERPRINT_MEMO_ENV)
-    if configured is not None:
-        return Path(configured) if configured else None
-    # One memo per checkout: distinct working copies share ~/.cache, and a
-    # single file keyed only by relative paths would make them overwrite
-    # each other's memo on every alternating run.
-    package_root = str(Path(__file__).resolve().parent.parent)
-    root_tag = hashlib.sha256(package_root.encode()).hexdigest()[:12]
-    return Path.home() / ".cache" / "repro" / f"fingerprint-{root_tag}.json"
-
-
-def _tree_state_key() -> str:
-    """Cheap stat-based key over the source tree: (path, mtime_ns, size).
-
-    Reading metadata for ~100 files is orders of magnitude cheaper than
-    hashing their contents; if no file was touched since the memo was
-    written, the memoised content fingerprint is still valid.
-    """
-    digest = hashlib.sha256()
-    package_root = Path(__file__).resolve().parent.parent
-    for path in _package_source_files():
-        stat = path.stat()
-        digest.update(
-            f"{path.relative_to(package_root)}|{stat.st_mtime_ns}|{stat.st_size}\0".encode()
-        )
-    return digest.hexdigest()
-
-
 _package_fingerprint_cache: Optional[str] = None
 
 
@@ -292,46 +258,11 @@ def _package_fingerprint() -> str:
     longer matches.  (An edit landing between import and the first sweep
     of a process can still skew the snapshot — restart the process after
     editing source, as with any Python code change.)
-
-    Across processes an mtime-keyed on-disk memo avoids re-hashing the
-    whole tree: when no source file's (mtime, size) changed since the memo
-    was written, the stored content fingerprint is reused.
     """
     global _package_fingerprint_cache
     if _package_fingerprint_cache is None:
-        _package_fingerprint_cache = _load_or_compute_fingerprint()
+        _package_fingerprint_cache = _compute_package_fingerprint()
     return _package_fingerprint_cache
-
-
-def _set_package_fingerprint(value: Optional[str]) -> None:
-    """Pin the in-process fingerprint (pool initializer / tests)."""
-    global _package_fingerprint_cache
-    _package_fingerprint_cache = value
-
-
-def _load_or_compute_fingerprint() -> str:
-    memo_path = _fingerprint_memo_path()
-    state: Optional[str] = None
-    if memo_path is not None:
-        try:
-            state = _tree_state_key()
-            memo = json.loads(memo_path.read_text(encoding="utf-8"))
-            if memo.get("state") == state and isinstance(memo.get("fingerprint"), str):
-                return memo["fingerprint"]
-        except (OSError, ValueError):
-            pass
-    fingerprint = _compute_package_fingerprint()
-    if memo_path is not None and state is not None:
-        try:
-            memo_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = memo_path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps({"state": state, "fingerprint": fingerprint}), encoding="utf-8"
-            )
-            tmp.replace(memo_path)
-        except OSError:
-            pass  # memo is an optimisation; never fail a sweep over it
-    return fingerprint
 
 
 def cell_cache_key(spec: ExperimentSpec, scenario: Scenario, seed: int) -> str:
@@ -520,17 +451,6 @@ def _execute_cell_indexed(item: tuple[int, dict]) -> tuple[int, dict]:
     return position, execute_cell_record(payload)
 
 
-def _worker_init(fingerprint: Optional[str]) -> None:
-    """Pool initializer: inherit the parent's package fingerprint.
-
-    Workers never need to re-derive cache keys for the payloads they are
-    handed, but anything in a runner that touches the fingerprint (or a
-    nested sweep) would otherwise re-hash the whole source tree once per
-    worker process; shipping the parent's value makes it free.
-    """
-    _set_package_fingerprint(fingerprint)
-
-
 # ---------------------------------------------------------------------------
 # Execution backends
 # ---------------------------------------------------------------------------
@@ -572,8 +492,7 @@ class LocalPoolBackend(CellBackend):
     debugging).  Cells are submitted through ``imap_unordered`` with a
     chunk size sized to roughly four chunks per worker: large enough to
     amortise task dispatch, small enough to keep the pool balanced when
-    cell runtimes differ.  The pool initializer ships the parent's package
-    fingerprint so no worker re-hashes the source tree.
+    cell runtimes differ.
     """
 
     def __init__(self, processes: Optional[int] = None) -> None:
@@ -593,10 +512,7 @@ class LocalPoolBackend(CellBackend):
                 yield _execute_cell_indexed(item)
             return
         chunksize = max(1, len(items) // (processes * 4))
-        fingerprint = _package_fingerprint()
-        with multiprocessing.Pool(
-            processes=processes, initializer=_worker_init, initargs=(fingerprint,)
-        ) as pool:
+        with multiprocessing.Pool(processes=processes) as pool:
             yield from pool.imap_unordered(_execute_cell_indexed, items, chunksize=chunksize)
 
 

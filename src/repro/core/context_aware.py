@@ -37,11 +37,9 @@ class StreamingConfig:
 
     patch_size: int = 32
     gamma: float = PAPER_GAMMA
-    #: Optional ceiling so no region is compressed beyond recognition.
-    qp_ceiling: Optional[float] = None
 
     def qp_config(self) -> QpMapConfig:
-        return QpMapConfig(gamma=self.gamma, qp_ceiling=self.qp_ceiling)
+        return QpMapConfig(gamma=self.gamma)
 
 
 @dataclass
@@ -66,15 +64,10 @@ class EncodeOutcome:
 class ContextAwareStreamer:
     """Implements Equations (1) and (2): user words → QP map → encoded frame."""
 
-    def __init__(
-        self,
-        config: Optional[StreamingConfig] = None,
-        clip: Optional[MobileClip] = None,
-        codec: Optional[BlockCodec] = None,
-    ) -> None:
+    def __init__(self, config: Optional[StreamingConfig] = None) -> None:
         self.config = config or StreamingConfig()
-        self.clip = clip or MobileClip(config=ClipConfig(patch_size=self.config.patch_size))
-        self.codec = codec or BlockCodec()
+        self.clip = MobileClip(config=ClipConfig(patch_size=self.config.patch_size))
+        self.codec = BlockCodec()
 
     # -- Equation (1): correlation --------------------------------------------
 
@@ -189,8 +182,8 @@ class ContextAwareStreamer:
 class UniformStreamer:
     """The context-agnostic baseline: the same codec with a single QP everywhere."""
 
-    def __init__(self, codec: Optional[BlockCodec] = None) -> None:
-        self.codec = codec or BlockCodec()
+    def __init__(self) -> None:
+        self.codec = BlockCodec()
 
     def encode_frame(
         self,

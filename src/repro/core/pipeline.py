@@ -24,13 +24,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..mllm.inference import LatencyBudget
-from ..mllm.model import MODE_MULTIPLE_CHOICE, MllmAnswer, SimulatedMLLM
+from ..mllm.model import MllmAnswer, SimulatedMLLM
+from ..mllm.sampler import DEFAULT_MAX_FPS
 from ..net.emulator import PathConfig
 from ..net.jitter_buffer import JitterBuffer, PassthroughBuffer, frames_in_capture_order
-from ..net.transport import TransportConfig, VideoTransportSession
+from ..net.transport import VideoTransportSession
 from ..video.frames import VideoFrame
 from ..video.scene import Scene, SceneFact
-from .context_aware import ContextAwareStreamer, EncodeOutcome, StreamingConfig, UniformStreamer
+from .context_aware import ContextAwareStreamer, EncodeOutcome, UniformStreamer
+
+#: Frame rate of the frames actually encoded and transmitted: the rate the
+#: MLLM ingests, so no transmitted frame goes unseen.
+MLLM_FPS = DEFAULT_MAX_FPS
+#: Seconds of video preceding the question that are streamed for context.
+WINDOW_S = 1.5
+#: Client-side encode and receiver-side decode costs per frame.
+ENCODE_MS_PER_FRAME = 8.0
+DECODE_MS_PER_FRAME = 4.0
+#: How long the transport simulation keeps running after the last frame.
+DRAIN_S = 3.0
 
 
 @dataclass
@@ -41,19 +53,8 @@ class ChatSessionConfig:
     target_bitrate_bps: Optional[float] = 400_000.0
     #: Whether the sender runs context-aware streaming or the uniform baseline.
     context_aware: bool = True
-    #: Frame rate of the frames actually encoded and transmitted to the MLLM.
-    mllm_fps: float = 2.0
-    #: Seconds of video preceding the question that are streamed for context.
-    window_s: float = 1.5
     #: Whether the receiver holds frames in a jitter buffer before the MLLM.
     use_jitter_buffer: bool = False
-    #: Answer mode for the MLLM (multiple choice or free response).
-    answer_mode: str = MODE_MULTIPLE_CHOICE
-    #: Client-side encode and receiver-side decode costs per frame.
-    encode_ms_per_frame: float = 8.0
-    decode_ms_per_frame: float = 4.0
-    #: How long the transport simulation keeps running after the last frame.
-    drain_s: float = 3.0
 
 
 @dataclass
@@ -94,18 +95,13 @@ class AIVideoChatSession:
         scene: Scene,
         session_config: Optional[ChatSessionConfig] = None,
         uplink_config: Optional[PathConfig] = None,
-        transport_config: Optional[TransportConfig] = None,
-        streamer: Optional[ContextAwareStreamer] = None,
-        baseline: Optional[UniformStreamer] = None,
-        mllm: Optional[SimulatedMLLM] = None,
     ) -> None:
         self.scene = scene
         self.config = session_config or ChatSessionConfig()
         self.uplink_config = uplink_config or PathConfig()
-        self.transport_config = transport_config or TransportConfig()
-        self.streamer = streamer or ContextAwareStreamer(StreamingConfig())
-        self.baseline = baseline or UniformStreamer()
-        self.mllm = mllm or SimulatedMLLM()
+        self.streamer = ContextAwareStreamer()
+        self.baseline = UniformStreamer()
+        self.mllm = SimulatedMLLM()
         #: One capture source per dialogue: every turn reuses its rendered frames.
         self.source = scene.to_source()
 
@@ -113,8 +109,8 @@ class AIVideoChatSession:
 
     def _frames_for_turn(self) -> list[VideoFrame]:
         """Frames at the MLLM ingestion rate covering the context window."""
-        stride = max(1, int(round(self.scene.fps / self.config.mllm_fps)))
-        count = max(1, int(round(self.config.window_s * self.config.mllm_fps)))
+        stride = max(1, int(round(self.scene.fps / MLLM_FPS)))
+        count = max(1, int(round(WINDOW_S * MLLM_FPS)))
         last_index = self.source.frame_count() - 1
         indices = [max(0, last_index - stride * offset) for offset in range(count)][::-1]
         return [self.source.frame_at(index) for index in dict.fromkeys(indices)]
@@ -130,7 +126,6 @@ class AIVideoChatSession:
         """Run one full dialogue turn for a question about ``fact``."""
         words = user_words if user_words is not None else fact.question
         originals = self._frames_for_turn()
-        per_frame_fps = self.config.mllm_fps
 
         # 1. client-side encoding -------------------------------------------------
         outcomes: list[EncodeOutcome] = []
@@ -141,22 +136,20 @@ class AIVideoChatSession:
                     frame,
                     words,
                     target_bitrate_bps=self.config.target_bitrate_bps,
-                    fps=per_frame_fps,
+                    fps=MLLM_FPS,
                     extra_concepts=extra_concepts,
                 )
             else:
                 outcome = self.baseline.encode_frame(
                     frame,
                     target_bitrate_bps=self.config.target_bitrate_bps,
-                    fps=per_frame_fps,
+                    fps=MLLM_FPS,
                 )
             outcomes.append(outcome)
 
         # 2. transmission over the emulated uplink --------------------------------
-        session = VideoTransportSession(
-            uplink_config=self.uplink_config, transport_config=self.transport_config
-        )
-        interval = 1.0 / per_frame_fps
+        session = VideoTransportSession(uplink_config=self.uplink_config)
+        interval = 1.0 / MLLM_FPS
         for order, (frame, outcome) in enumerate(zip(originals, outcomes)):
             send_at = order * interval
 
@@ -164,7 +157,7 @@ class AIVideoChatSession:
                 session.send_frame(frame_id, size, capture_time=t)
 
             session.loop.schedule_at(send_at, _send)
-        horizon = len(originals) * interval + self.config.drain_s
+        horizon = len(originals) * interval + DRAIN_S
         session.run(until=horizon)
 
         records = {record.frame_id: record for record in session.stats.frames}
@@ -197,14 +190,7 @@ class AIVideoChatSession:
         ]
 
         # 4. MLLM answer -------------------------------------------------------------
-        answer = self.mllm.answer_question(
-            fact,
-            self.scene,
-            delivered_decoded,
-            delivered_originals,
-            mode=self.config.answer_mode,
-            apply_frame_sampling=False,
-        )
+        answer = self.mllm.answer_question(fact, self.scene, delivered_decoded, delivered_originals)
 
         # 5. latency budget ------------------------------------------------------------
         latencies = [
@@ -219,14 +205,14 @@ class AIVideoChatSession:
                 last_latency = last_record.transmission_latency
         jitter_delay_ms = buffer.added_latency() * 1000.0
         total_bits = sum(outcome.encoded.total_bits for outcome in outcomes)
-        achieved_bitrate = total_bits / max(len(outcomes), 1) * per_frame_fps
+        achieved_bitrate = total_bits / max(len(outcomes), 1) * MLLM_FPS
 
         budget = LatencyBudget(
             capture_ms=0.5 * 1000.0 / max(self.scene.fps, 1.0),
-            encode_ms=self.config.encode_ms_per_frame
+            encode_ms=ENCODE_MS_PER_FRAME
             + (outcomes[-1].client_compute_ms if self.config.context_aware else 0.0),
             transmission_ms=last_latency * 1000.0,
-            decode_ms=self.config.decode_ms_per_frame,
+            decode_ms=DECODE_MS_PER_FRAME,
             jitter_buffer_ms=jitter_delay_ms,
             inference_ms=answer.inference_latency_ms,
             downlink_ms=self.uplink_config.propagation_delay_s * 1000.0,

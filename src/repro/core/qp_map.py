@@ -6,9 +6,8 @@ derives its quantisation parameter as
     QP_mn = 51 · (1 − ((ρ_mn + 1) / 2)^γ)
 
 with temperature γ = 3 "to aggressively penalise irrelevant regions".
-This module implements that mapping, its clamping, optional floors/ceilings
-(a minimum quality for every region so the frame stays decodable), and the
-resampling from CLIP patch grid to codec block grid.
+This module implements that mapping and its clamping to a QP range (the
+codec's by default; ``min_qp`` raises the floor).
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ class QpMapConfig:
     max_qp: float = float(MAX_QP)
     #: Optional QP floor for the most important regions (0 = allow lossless-ish).
     min_qp: float = float(MIN_QP)
-    #: Optional cap applied after the mapping so no region is *completely*
-    #: destroyed (useful for the semantic-layer base stream); defaults to the
-    #: paper's behaviour of allowing QP up to 51.
-    qp_ceiling: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
@@ -46,8 +41,6 @@ class QpMapConfig:
             raise ValueError(f"max_qp must be within [{MIN_QP}, {MAX_QP}]")
         if self.min_qp > self.max_qp:
             raise ValueError("min_qp must not exceed max_qp")
-        if self.qp_ceiling is not None and not MIN_QP <= self.qp_ceiling <= MAX_QP:
-            raise ValueError("qp_ceiling must be within the QP range")
 
 
 def correlation_to_qp(
@@ -64,8 +57,6 @@ def correlation_to_qp(
     normalised = (rho + 1.0) / 2.0
     qp = config.max_qp * (1.0 - np.power(normalised, config.gamma))
     qp = np.clip(qp, config.min_qp, config.max_qp)
-    if config.qp_ceiling is not None:
-        qp = np.minimum(qp, config.qp_ceiling)
     if np.isscalar(correlation):
         return float(qp)
     return qp

@@ -96,13 +96,9 @@ class LayeredEncodeResult:
 class SemanticLayeredEncoder:
     """Splits a frame into semantic layers and reconstructs from any subset."""
 
-    def __init__(
-        self,
-        config: Optional[LayerConfig] = None,
-        codec: Optional[BlockCodec] = None,
-    ) -> None:
+    def __init__(self, config: Optional[LayerConfig] = None) -> None:
         self.config = config or LayerConfig()
-        self.codec = codec or BlockCodec()
+        self.codec = BlockCodec()
 
     def _assign_blocks(self, correlation_blocks: np.ndarray) -> np.ndarray:
         assignment = np.full(correlation_blocks.shape, self.config.layer_count - 1, dtype=int)

@@ -9,7 +9,8 @@ visual tokens of chat-irrelevant regions before they ever reach the model.
 The pruner maps the CLIP correlation map onto the vision-tower token grid,
 keeps the most relevant tokens (plus an optional uniformly-sampled retention
 floor so global context is not lost), and reports the inference-latency
-saving through the shared :class:`~repro.mllm.inference.InferenceConfig`.
+saving through the shared
+:func:`~repro.mllm.inference.first_response_latency_ms` model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..mllm.clip import CorrelationMap
-from ..mllm.inference import InferenceConfig, default_inference_config
+from ..mllm.inference import first_response_latency_ms
 from ..video.frames import VideoFrame
 
 
@@ -83,13 +84,8 @@ class PruningResult:
 class ContextAwareTokenPruner:
     """Prunes visual tokens by chat relevance before MLLM ingestion."""
 
-    def __init__(
-        self,
-        config: Optional[PruningConfig] = None,
-        inference_config: Optional[InferenceConfig] = None,
-    ) -> None:
+    def __init__(self, config: Optional[PruningConfig] = None) -> None:
         self.config = config or PruningConfig()
-        self.inference_config = inference_config or default_inference_config()
 
     def _token_scores(self, frame: VideoFrame, correlation: CorrelationMap) -> np.ndarray:
         patch = self.config.token_patch_size
@@ -125,8 +121,8 @@ class ContextAwareTokenPruner:
 
         keep_mask = keep_mask.reshape(scores.shape)
         kept = int(keep_mask.sum())
-        latency_before = self.inference_config.first_response_latency_ms(total)
-        latency_after = self.inference_config.first_response_latency_ms(kept)
+        latency_before = first_response_latency_ms(total)
+        latency_after = first_response_latency_ms(kept)
         return PruningResult(
             token_grid_shape=scores.shape,
             keep_mask=keep_mask,

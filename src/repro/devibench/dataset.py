@@ -10,7 +10,7 @@ holds the sample/benchmark data model, Table 1-style summaries and JSON
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,6 +41,8 @@ class QASample:
     def __post_init__(self) -> None:
         if len(self.options) < 2 or len(self.options) > len(OPTION_LETTERS):
             raise ValueError("options must contain between 2 and 4 entries")
+        if len(set(self.options)) != len(self.options):
+            raise ValueError(f"options must be distinct, got {list(self.options)}")
         if self.correct_letter not in OPTION_LETTERS[: len(self.options)]:
             raise ValueError(f"correct_letter {self.correct_letter!r} not among the options")
         if self.category not in CATEGORIES:
@@ -95,6 +97,11 @@ class DeViBench:
 
     def __init__(self, samples: Sequence[QASample], scenes: Optional[Sequence[Scene]] = None) -> None:
         self._samples = list(samples)
+        seen: set[str] = set()
+        for index, sample in enumerate(self._samples):
+            if sample.sample_id in seen:
+                raise ValueError(f"sample {index}: duplicate sample_id {sample.sample_id!r}")
+            seen.add(sample.sample_id)
         self._scenes = {scene.name: scene for scene in (scenes or [])}
 
     def __len__(self) -> int:
@@ -176,12 +183,26 @@ class DeViBench:
     @classmethod
     def from_json(cls, text: str, scenes: Optional[Sequence[Scene]] = None) -> "DeViBench":
         payload = json.loads(text)
-        if payload.get("format") != "devibench-v1":
+        if not isinstance(payload, dict) or payload.get("format") != "devibench-v1":
             raise ValueError("unrecognised DeViBench serialisation format")
-        samples = [
-            QASample(**{**entry, "options": tuple(entry["options"])})
-            for entry in payload["samples"]
-        ]
+        if not isinstance(payload.get("samples"), list):
+            raise ValueError("a DeViBench artifact holds a list of samples")
+        known = {f.name for f in fields(QASample)}
+        required = {
+            f.name for f in fields(QASample) if f.default is MISSING and f.default_factory is MISSING
+        }
+        samples = []
+        for index, entry in enumerate(payload["samples"]):
+            if not isinstance(entry, dict):
+                raise ValueError(f"sample {index}: expected an object, got {type(entry).__name__}")
+            missing, unknown = sorted(required - set(entry)), sorted(set(entry) - known)
+            if missing or unknown:
+                raise ValueError(f"sample {index}: missing fields {missing}, unknown fields {unknown}")
+            try:
+                samples.append(QASample(**{**entry, "options": tuple(entry["options"])}))
+            except (TypeError, ValueError) as exc:
+                # TypeError: a field of the wrong type, such as numeric options.
+                raise ValueError(f"sample {index}: {exc}") from exc
         return cls(samples, scenes=scenes)
 
     @classmethod

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.context_aware import ContextAwareStreamer, StreamingConfig, UniformStreamer
+from ..core.context_aware import ContextAwareStreamer, UniformStreamer
 from ..mllm.model import MODE_MULTIPLE_CHOICE, SimulatedMLLM
 from ..video.frames import VideoFrame
 from ..video.scene import Scene
@@ -50,20 +50,13 @@ class EvaluationResult:
 class BenchmarkEvaluator:
     """Runs DeViBench QA through an encode→answer loop at chosen bitrates."""
 
-    def __init__(
-        self,
-        benchmark: DeViBench,
-        mllm: Optional[SimulatedMLLM] = None,
-        streamer: Optional[ContextAwareStreamer] = None,
-        baseline: Optional[UniformStreamer] = None,
-        mode: str = MODE_MULTIPLE_CHOICE,
-    ) -> None:
+    def __init__(self, benchmark: DeViBench, mode: str = MODE_MULTIPLE_CHOICE) -> None:
         if len(benchmark) == 0:
             raise ValueError("cannot evaluate an empty benchmark")
         self.benchmark = benchmark
-        self.mllm = mllm or SimulatedMLLM()
-        self.streamer = streamer or ContextAwareStreamer(StreamingConfig())
-        self.baseline = baseline or UniformStreamer()
+        self.mllm = SimulatedMLLM()
+        self.streamer = ContextAwareStreamer()
+        self.baseline = UniformStreamer()
         self.mode = mode
         self._frame_cache: dict[str, list[VideoFrame]] = {}
 
@@ -116,7 +109,6 @@ class BenchmarkEvaluator:
             originals,
             mode=self.mode,
             choices=list(sample.options) if self.mode == MODE_MULTIPLE_CHOICE else None,
-            apply_frame_sampling=False,
         )
         return SampleEvaluation(
             sample=sample,
@@ -176,7 +168,6 @@ def coarse_qa_breakage_rate(
                 prepared.scene,
                 prepared.original_frames,
                 prepared.original_frames,
-                apply_frame_sampling=False,
                 salt="coarse-orig",
                 frame_scores=prepared.region_scores(fact.object_name, degraded=False),
             )
@@ -185,7 +176,6 @@ def coarse_qa_breakage_rate(
                 prepared.scene,
                 prepared.degraded_frames,
                 prepared.original_frames,
-                apply_frame_sampling=False,
                 salt="coarse-deg",
                 frame_scores=prepared.region_scores(fact.object_name, degraded=True),
             )

@@ -74,7 +74,6 @@ class QAFilter:
             prepared.original_frames,
             mode=MODE_MULTIPLE_CHOICE,
             choices=list(sample.options),
-            apply_frame_sampling=False,
             salt=salt,
             frame_scores=prepared.region_scores(fact.object_name, degraded),
         )

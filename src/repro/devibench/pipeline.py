@@ -86,13 +86,11 @@ class DeViBenchPipeline:
         self,
         collection: Optional[VideoCollection] = None,
         generator: Optional[QAGenerator] = None,
-        qa_filter: Optional[QAFilter] = None,
-        verifier: Optional[CrossVerifier] = None,
     ) -> None:
         self.collection = collection or VideoCollection.synthetic(video_count=8)
         self.generator = generator or QAGenerator(GenerationConfig())
-        self.qa_filter = qa_filter or QAFilter()
-        self.verifier = verifier or CrossVerifier()
+        self.qa_filter = QAFilter()
+        self.verifier = CrossVerifier()
 
     def run(self) -> PipelineReport:
         """Execute collection → preprocessing → generation → filtering → verification."""

@@ -103,7 +103,6 @@ class CrossVerifier:
             prepared.original_frames,
             mode=MODE_MULTIPLE_CHOICE,
             choices=list(sample.options),
-            apply_frame_sampling=False,
             salt="verify",
             frame_scores=prepared.region_scores(fact.object_name, degraded=False),
         )

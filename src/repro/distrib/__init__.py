@@ -21,13 +21,7 @@ programmatically via
 """
 
 from .backend import DistributedBackend
-from .config import (
-    DEFAULT_RETRY,
-    DEFAULT_TIMEOUTS,
-    ConfigError,
-    DistribTimeouts,
-    RetryPolicy,
-)
+from .config import DEFAULT_TIMEOUTS, ConfigError, DistribTimeouts
 from .coordinator import CoordinatorStats, NoWorkersError, SweepCoordinator, WorkerStats
 from .protocol import (
     PROTOCOL_VERSION,
@@ -54,7 +48,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "DEFAULT_RETRY",
     "DEFAULT_TIMEOUTS",
     "PROTOCOL_VERSION",
     "ChaosChannel",
@@ -67,7 +60,6 @@ __all__ = [
     "MessageChannel",
     "NoWorkersError",
     "ProtocolError",
-    "RetryPolicy",
     "SweepCoordinator",
     "WorkerCellCache",
     "WorkerOutcome",

@@ -61,7 +61,7 @@ class DistributedBackend(CellBackend):
     Timing knobs come as one validated
     :class:`~repro.distrib.config.DistribTimeouts`; ``max_requeues`` bounds
     how often a lost worker's cell is re-served (default
-    :data:`~repro.distrib.config.DEFAULT_RETRY`'s).
+    :data:`~repro.distrib.config.DEFAULT_MAX_REQUEUES`).
 
     ``status_json`` names a JSONL file that receives one
     :data:`~repro.distrib.protocol.STATUS_SCHEMA` fleet snapshot per

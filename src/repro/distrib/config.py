@@ -1,4 +1,4 @@
-"""Unified, validated timing and retry configuration for the dispatcher.
+"""The dispatcher's validated timing configuration and its retry constants.
 
 Before this module the dispatcher's timing constants were scattered as
 ``DEFAULT_*_S`` module globals across ``coordinator.py`` and ``worker.py``,
@@ -7,15 +7,17 @@ that a worker's heartbeat interval stays well below the coordinator's
 liveness timeout (a worker heartbeating *slower* than the coordinator's
 patience is indistinguishable from a dead one and gets its cells requeued
 forever).  :class:`DistribTimeouts` gathers every knob in one validated,
-JSON-able dataclass; :class:`RetryPolicy` does the same for requeue bounds
-and reconnect backoff (jittered exponential, drawn from a seeded
-``np.random.Generator`` so backoff schedules replay bit-identically —
-the same discipline every other random draw in this repo follows).
+JSON-able dataclass.  The requeue bound and the worker's reconnect backoff
+are constants: :func:`reconnect_delay_s` is jittered exponential, drawn
+from a seeded ``np.random.Generator`` so backoff schedules replay
+bit-identically — the same discipline every other random draw in this repo
+follows.
 
-Both are plain JSON specs like every other configuration here: build one
-with ``from_spec(DistribTimeouts, spec)`` and write it back with
-``to_spec(timeouts)`` (:mod:`repro.core.spec`), so a fault plan or CLI
-invocation can carry the full timing configuration as data.
+:class:`DistribTimeouts` is a plain JSON spec like every other
+configuration here: build one with ``from_spec(DistribTimeouts, spec)`` and
+write it back with ``to_spec(timeouts)`` (:mod:`repro.core.spec`), so a
+fault plan or CLI invocation can carry the full timing configuration as
+data.
 """
 
 from __future__ import annotations
@@ -90,51 +92,30 @@ class DistribTimeouts:
         return replace(self, **updates) if updates else self
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Requeue bounds and reconnect backoff, in one validated policy.
+#: How many times the coordinator re-serves a cell whose worker died before
+#: the cell resolves to an error record.
+DEFAULT_MAX_REQUEUES = 2
+#: A worker's reconnect backoff: jittered exponential, capped.
+BACKOFF_BASE_S = 0.2
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 5.0
+#: Fractional jitter: each delay is scaled by a uniform draw from
+#: ``[1 - jitter, 1 + jitter]`` to decorrelate reconnect stampedes.
+BACKOFF_JITTER = 0.5
 
-    ``max_requeues`` bounds how many times the coordinator re-serves a cell
-    whose worker died before the cell resolves to an error record.
-    ``delay_s(attempt, rng)`` is the jittered exponential backoff a worker
-    sleeps between reconnect attempts: drawn from the caller's seeded
-    generator so a replayed chaos run schedules the same backoffs.
+
+def reconnect_delay_s(attempt: int, rng: np.random.Generator) -> float:
+    """Backoff before reconnect ``attempt`` (0-based), jittered by ``rng``.
+
+    Drawn from the caller's seeded generator so a replayed chaos run
+    schedules the same backoffs.
     """
-
-    max_requeues: int = 2
-    backoff_base_s: float = 0.2
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 5.0
-    #: Fractional jitter: each delay is scaled by a uniform draw from
-    #: ``[1 - jitter, 1 + jitter]`` to decorrelate reconnect stampedes.
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.max_requeues, int) and self.max_requeues >= 0):
-            raise ConfigError(f"max_requeues must be an int >= 0, got {self.max_requeues!r}")
-        if self.backoff_base_s <= 0:
-            raise ConfigError(f"backoff_base_s must be > 0, got {self.backoff_base_s!r}")
-        if self.backoff_factor < 1.0:
-            raise ConfigError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
-        if self.backoff_max_s < self.backoff_base_s:
-            raise ConfigError(
-                f"backoff_max_s ({self.backoff_max_s!r}) must be >= backoff_base_s "
-                f"({self.backoff_base_s!r})"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigError(f"jitter must be in [0, 1), got {self.jitter!r}")
-
-    def delay_s(self, attempt: int, rng: np.random.Generator) -> float:
-        """Backoff before reconnect ``attempt`` (0-based), jittered by ``rng``."""
-        base = min(self.backoff_max_s, self.backoff_base_s * self.backoff_factor**attempt)
-        if self.jitter == 0.0:
-            return base
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+    base = min(BACKOFF_MAX_S, BACKOFF_BASE_S * BACKOFF_FACTOR**attempt)
+    return base * (1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0))
 
 
 #: The one place the dispatcher's default timing lives.
 DEFAULT_TIMEOUTS = DistribTimeouts()
-DEFAULT_RETRY = RetryPolicy()
 
 
 def backoff_seed(worker_name: str) -> int:

@@ -33,8 +33,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from ..analysis.sweeps import _package_fingerprint, error_record
 from ..core import wallclock
+from ..core.spec import ConfigError
 from ..obs import WORKER_COUNTER_FIELDS
-from .config import DEFAULT_RETRY, DEFAULT_TIMEOUTS, DistribTimeouts, RetryPolicy
+from .config import DEFAULT_MAX_REQUEUES, DEFAULT_TIMEOUTS, DistribTimeouts
 from .protocol import PROTOCOL_VERSION, STATUS_SCHEMA, MessageChannel, ProtocolError
 
 
@@ -129,10 +130,9 @@ class SweepCoordinator:
     ) -> None:
         self.fingerprint = fingerprint if fingerprint is not None else _package_fingerprint()
         self.timeouts = timeouts if timeouts is not None else DEFAULT_TIMEOUTS
-        # RetryPolicy validates the bound (an int >= 0).
-        self.max_requeues = (
-            DEFAULT_RETRY if max_requeues is None else RetryPolicy(max_requeues=max_requeues)
-        ).max_requeues
+        self.max_requeues = DEFAULT_MAX_REQUEUES if max_requeues is None else max_requeues
+        if not (isinstance(self.max_requeues, int) and self.max_requeues >= 0):
+            raise ConfigError(f"max_requeues must be an int >= 0, got {self.max_requeues!r}")
         if status_interval_s <= 0:
             raise ValueError(f"status_interval_s must be positive, got {status_interval_s!r}")
         self.status_interval_s = status_interval_s

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..analysis.sweeps import _package_fingerprint, execute_cell_record
 from ..core import wallclock
-from .config import DEFAULT_RETRY, DEFAULT_TIMEOUTS, RetryPolicy, backoff_seed
+from .config import DEFAULT_TIMEOUTS, backoff_seed, reconnect_delay_s
 from .protocol import PROTOCOL_VERSION, MessageChannel, ProtocolError, parse_address
 
 
@@ -204,14 +204,14 @@ def run_worker(
     connect_timeout_s: float = DEFAULT_TIMEOUTS.connect_timeout_s,
     io_timeout_s: float = DEFAULT_TIMEOUTS.io_timeout_s,
     max_cells: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
     cache: Optional[WorkerCellCache] = None,
     channel_factory: Optional[Callable[[socket.socket], MessageChannel]] = None,
 ) -> WorkerOutcome:
     """Run one worker session (the in-process entry point; the CLI wraps it).
 
-    Dials the coordinator at ``connect``, retrying with the ``retry``
-    policy's jittered exponential backoff until ``connect_timeout_s``.
+    Dials the coordinator at ``connect``, retrying with the jittered
+    exponential backoff of :func:`~repro.distrib.config.reconnect_delay_s`
+    until ``connect_timeout_s``.
     ``fingerprint`` and ``executor`` exist for tests; they default to the
     real source-tree fingerprint and the fault-isolated cell executor.
 
@@ -229,7 +229,6 @@ def run_worker(
     fingerprint = fingerprint if fingerprint is not None else _package_fingerprint()
     worker_name = worker_name or _default_worker_name()
     executor = executor or execute_cell_record
-    retry = retry if retry is not None else DEFAULT_RETRY
 
     backoff_rng = np.random.default_rng(backoff_seed(worker_name))
     deadline = wallclock.monotonic() + connect_timeout_s
@@ -241,7 +240,7 @@ def run_worker(
         except OSError as exc:
             if wallclock.monotonic() >= deadline:
                 return WorkerOutcome("connect_failed", detail=f"{connect[0]}:{connect[1]}: {exc}")
-            time.sleep(retry.delay_s(attempt, backoff_rng))
+            time.sleep(reconnect_delay_s(attempt, backoff_rng))
             attempt += 1
 
     sock.settimeout(io_timeout_s)

@@ -17,9 +17,8 @@ from .embedding import (
 from .inference import (
     DEFAULT_AUDIO_ONLY_FLOOR_MS,
     DEFAULT_RESPONSE_BUDGET_MS,
-    InferenceConfig,
     LatencyBudget,
-    default_inference_config,
+    first_response_latency_ms,
     transmission_budget_ms,
 )
 from .model import (
@@ -38,7 +37,6 @@ from .sampler import (
     DEFAULT_MAX_FPS,
     DEFAULT_MAX_PIXELS,
     ReceiverSampler,
-    SamplerConfig,
     SamplingReport,
     perceived_throughput_bps,
     sender_throughput_bps,
@@ -67,7 +65,6 @@ __all__ = [
     "DEFAULT_SYNONYMS",
     "DiscreteTokenizer",
     "GLM_4_5V",
-    "InferenceConfig",
     "LatencyBudget",
     "MllmAnswer",
     "MllmProfile",
@@ -78,7 +75,6 @@ __all__ = [
     "QWEN2_5_OMNI",
     "QWEN3_VL_PLUS",
     "ReceiverSampler",
-    "SamplerConfig",
     "SamplingReport",
     "SimulatedMLLM",
     "TokenLossResult",
@@ -87,8 +83,8 @@ __all__ = [
     "UNCLEAR_ANSWER",
     "compare_token_stream_bitrates",
     "cosine_similarity",
-    "default_inference_config",
     "drop_and_recover_tokens",
+    "first_response_latency_ms",
     "perceived_throughput_bps",
     "sender_throughput_bps",
     "transmission_budget_ms",

@@ -116,9 +116,8 @@ class CorrelationMap:
 class ClipTextEncoder:
     """Language side of the CLIP substitute."""
 
-    def __init__(self, space: Optional[ConceptSpace] = None, config: Optional[ClipConfig] = None) -> None:
+    def __init__(self, space: Optional[ConceptSpace] = None) -> None:
         self.space = space or ConceptSpace()
-        self.config = config or ClipConfig()
 
     def encode(self, text: str, extra_concepts: Sequence[str] = ()) -> np.ndarray:
         concepts = self.space.extract_concepts(text)
@@ -138,10 +137,10 @@ class ClipTextEncoder:
 class MobileClip:
     """The full CLIP substitute: correlation maps per Equation (1)."""
 
-    def __init__(self, space: Optional[ConceptSpace] = None, config: Optional[ClipConfig] = None) -> None:
-        self.space = space or ConceptSpace()
+    def __init__(self, config: Optional[ClipConfig] = None) -> None:
+        self.space = ConceptSpace()
         self.config = config or ClipConfig()
-        self.text_encoder = ClipTextEncoder(self.space, self.config)
+        self.text_encoder = ClipTextEncoder(self.space)
 
     def correlation_map(
         self,

@@ -18,56 +18,34 @@ DEFAULT_RESPONSE_BUDGET_MS = 300.0
 DEFAULT_AUDIO_ONLY_FLOOR_MS = 232.0
 
 
-@dataclass
-class InferenceConfig:
-    """Latency model of a cloud MLLM serving stack."""
-
-    #: Fixed cost per request: scheduling, tokenisation, audio encoding.
-    base_latency_ms: float = 180.0
-    #: Prefill cost per visual token (vision tower + attention over context).
-    per_visual_token_ms: float = 0.035
-    #: Prefill cost per audio/text input token.
-    per_input_token_ms: float = 0.010
-    #: Decode cost per generated output token (autoregressive step).
-    per_output_token_ms: float = 6.5
-    #: Number of output tokens before the first audio chunk can be played.
-    first_chunk_output_tokens: int = 8
-
-    def __post_init__(self) -> None:
-        for name in (
-            "base_latency_ms",
-            "per_visual_token_ms",
-            "per_input_token_ms",
-            "per_output_token_ms",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.first_chunk_output_tokens < 1:
-            raise ValueError("first_chunk_output_tokens must be >= 1")
-
-    def prefill_latency_ms(self, visual_tokens: int, input_tokens: int = 32) -> float:
-        return (
-            self.base_latency_ms
-            + visual_tokens * self.per_visual_token_ms
-            + input_tokens * self.per_input_token_ms
-        )
-
-    def first_response_latency_ms(self, visual_tokens: int, input_tokens: int = 32) -> float:
-        """Time until the first audible/displayable chunk of the reply exists."""
-        return (
-            self.prefill_latency_ms(visual_tokens, input_tokens)
-            + self.first_chunk_output_tokens * self.per_output_token_ms
-        )
+#: Latency model of the cloud MLLM serving stack.  Fixed cost per request:
+#: scheduling, tokenisation, audio encoding.
+BASE_LATENCY_MS = 180.0
+#: Prefill cost per visual token (vision tower + attention over context).
+PER_VISUAL_TOKEN_MS = 0.035
+#: Prefill cost per audio/text input token, and the input tokens of one turn.
+PER_INPUT_TOKEN_MS = 0.010
+INPUT_TOKENS = 32
+#: Decode cost per generated output token (autoregressive step).
+PER_OUTPUT_TOKEN_MS = 6.5
+#: Number of output tokens before the first audio chunk can be played.
+FIRST_CHUNK_OUTPUT_TOKENS = 8
 
 
-def default_inference_config() -> InferenceConfig:
-    """A configuration whose audio-only first response lands at ~232 ms.
+def first_response_latency_ms(visual_tokens: int) -> float:
+    """Time until the first audible/displayable chunk of the reply exists.
 
-    232 ms = base + 32 input tokens * 0.010 + 8 output tokens * 6.5
-           = 180  + 0.32            + 52 ≈ 232.3 ms — matching the GPT-4o
-    floor cited in Section 1 of the paper.
+    Without visual tokens it lands at ~232 ms:
+    180 base + 32 input tokens * 0.010 + 8 output tokens * 6.5
+    = 180 + 0.32 + 52 ≈ 232.3 ms — matching the GPT-4o floor cited in
+    Section 1 of the paper.
     """
-    return InferenceConfig()
+    prefill = (
+        BASE_LATENCY_MS
+        + visual_tokens * PER_VISUAL_TOKEN_MS
+        + INPUT_TOKENS * PER_INPUT_TOKEN_MS
+    )
+    return prefill + FIRST_CHUNK_OUTPUT_TOKENS * PER_OUTPUT_TOKEN_MS
 
 
 @dataclass

@@ -35,8 +35,8 @@ import numpy as np
 from ..video.frames import VideoFrame
 from ..video.quality import region_quality
 from ..video.scene import Scene, SceneFact, SceneObject
-from .inference import InferenceConfig, default_inference_config
-from .sampler import ReceiverSampler, SamplerConfig
+from .inference import first_response_latency_ms
+from .sampler import ReceiverSampler
 
 MODE_MULTIPLE_CHOICE = "multiple_choice"
 MODE_FREE_RESPONSE = "free_response"
@@ -121,17 +121,10 @@ def region_scores(
 class SimulatedMLLM:
     """Answers scene questions through a quality-gated evidence model."""
 
-    def __init__(
-        self,
-        profile: MllmProfile = QWEN2_5_OMNI,
-        seed: int = 0,
-        sampler: Optional[ReceiverSampler] = None,
-        inference_config: Optional[InferenceConfig] = None,
-    ) -> None:
+    def __init__(self, profile: MllmProfile = QWEN2_5_OMNI, seed: int = 0) -> None:
         self.profile = profile
         self.seed = seed
-        self.sampler = sampler or ReceiverSampler(SamplerConfig())
-        self.inference_config = inference_config or default_inference_config()
+        self.sampler = ReceiverSampler()
 
     # -- internals -----------------------------------------------------------
 
@@ -196,42 +189,30 @@ class SimulatedMLLM:
         original_frames: Sequence[VideoFrame],
         mode: str = MODE_MULTIPLE_CHOICE,
         choices: Optional[Sequence[str]] = None,
-        apply_frame_sampling: bool = True,
         salt: str = "",
         frame_scores: Optional[Sequence[float]] = None,
     ) -> MllmAnswer:
         """Ask the model one question about the decoded video.
 
-        ``frame_scores`` are the :func:`region_scores` of the fact's object
-        over exactly these frames, when the caller already holds them (see
+        Every frame given is evidence: the callers hand over frames already
+        at the MLLM's ingestion rate.  ``frame_scores`` are the
+        :func:`region_scores` of the fact's object over exactly these frames,
+        when the caller already holds them (see
         :meth:`repro.devibench.videos.PreparedVideo.region_scores`).
         """
         if mode not in (MODE_MULTIPLE_CHOICE, MODE_FREE_RESPONSE):
             raise ValueError(f"unknown mode {mode!r}")
-        if frame_scores is not None and apply_frame_sampling:
-            raise ValueError("frame_scores cover every frame; pass apply_frame_sampling=False")
-
-        decoded = list(decoded_frames)
-        originals = list(original_frames)
-        if apply_frame_sampling and decoded:
-            selected = self.sampler.select_frames(decoded)
-            selected_ids = {frame.frame_id for frame in selected}
-            pairs = [
-                (d, o) for d, o in zip(decoded, originals) if d.frame_id in selected_ids
-            ]
-            if pairs:
-                decoded, originals = map(list, zip(*pairs))
 
         if frame_scores is None:
-            evidence = self.evidence_quality(fact, scene, decoded, originals)
+            evidence = self.evidence_quality(fact, scene, decoded_frames, original_frames)
         else:
             evidence = self._evidence(fact, frame_scores)
         required = self.required_quality(fact.detail_scale)
         knows = evidence >= required
 
         rng = self._rng_for(fact, salt=salt or mode, scene_name=scene.name)
-        visual_tokens = sum(self.sampler.visual_token_count(frame) for frame in decoded)
-        latency = self.inference_config.first_response_latency_ms(visual_tokens)
+        visual_tokens = sum(self.sampler.visual_token_count(frame) for frame in decoded_frames)
+        latency = first_response_latency_ms(visual_tokens)
 
         if knows and rng.random() >= self.profile.base_error_rate:
             answer = fact.value

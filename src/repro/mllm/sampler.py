@@ -10,7 +10,7 @@ the redundancy plotted in Figure 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,23 +22,6 @@ DEFAULT_MAX_PIXELS = 602_112
 DEFAULT_MAX_FPS = 2.0
 #: Vision-tower patch size used to convert pixels to visual tokens.
 VISION_PATCH_PIXELS = 28 * 28
-
-
-@dataclass
-class SamplerConfig:
-    """Configuration of the receiver-side sampler."""
-
-    max_fps: float = DEFAULT_MAX_FPS
-    max_pixels_per_frame: int = DEFAULT_MAX_PIXELS
-    vision_patch_pixels: int = VISION_PATCH_PIXELS
-
-    def __post_init__(self) -> None:
-        if self.max_fps <= 0:
-            raise ValueError("max_fps must be positive")
-        if self.max_pixels_per_frame <= 0:
-            raise ValueError("max_pixels_per_frame must be positive")
-        if self.vision_patch_pixels <= 0:
-            raise ValueError("vision_patch_pixels must be positive")
 
 
 @dataclass
@@ -73,15 +56,12 @@ class ReceiverSampler:
     what the model sees (Section 2.1).
     """
 
-    def __init__(self, config: Optional[SamplerConfig] = None) -> None:
-        self.config = config or SamplerConfig()
-
     def select_frames(self, frames: Sequence[VideoFrame]) -> list[VideoFrame]:
-        """Pick at most ``max_fps`` frames per second of capture time."""
+        """Pick at most :data:`DEFAULT_MAX_FPS` frames per second of capture time."""
         if not frames:
             return []
         ordered = sorted(frames, key=lambda frame: (frame.timestamp, frame.frame_id))
-        interval = 1.0 / self.config.max_fps
+        interval = 1.0 / DEFAULT_MAX_FPS
         selected: list[VideoFrame] = []
         next_slot = ordered[0].timestamp
         for frame in ordered:
@@ -92,7 +72,7 @@ class ReceiverSampler:
 
     def prepare_frame(self, frame: VideoFrame) -> VideoFrame:
         """Resize one frame to the per-frame pixel cap."""
-        return downsample_frame(frame, self.config.max_pixels_per_frame)
+        return downsample_frame(frame, DEFAULT_MAX_PIXELS)
 
     def prepare(self, frames: Sequence[VideoFrame]) -> tuple[list[VideoFrame], SamplingReport]:
         """Select and resize frames; report the induced redundancy."""
@@ -109,7 +89,7 @@ class ReceiverSampler:
     def visual_token_count(self, frame: VideoFrame) -> int:
         """Number of visual tokens one prepared frame contributes."""
         prepared = self.prepare_frame(frame)
-        return max(1, int(np.ceil(prepared.pixel_count / self.config.vision_patch_pixels)))
+        return max(1, int(np.ceil(prepared.pixel_count / VISION_PATCH_PIXELS)))
 
 
 def perceived_throughput_bps(

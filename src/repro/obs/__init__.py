@@ -2,7 +2,7 @@
 
 Two primitives and a bundle:
 
-- :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
+- :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
   in a :class:`MetricRegistry`, plus the canonical fleet metric vocabulary
   shared by the coordinator's live ``status`` stream and report.py.
 - :mod:`repro.obs.trace` — nestable spans carrying sim-time for
@@ -28,7 +28,6 @@ from .metrics import (
     NULL_REGISTRY,
     WORKER_COUNTER_FIELDS,
     Counter,
-    Gauge,
     Histogram,
     MetricError,
     MetricRegistry,
@@ -65,7 +64,6 @@ __all__ = [
     "CLOCKS",
     "Counter",
     "FAULT_AXES",
-    "Gauge",
     "Histogram",
     "METRIC_VOCAB",
     "MetricError",

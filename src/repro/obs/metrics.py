@@ -1,4 +1,4 @@
-"""Deterministic metric primitives: counters, gauges, fixed-bucket histograms.
+"""Deterministic metric primitives: counters and fixed-bucket histograms.
 
 Everything in this module is pure bookkeeping — no wall-clock reads, no RNG
 draws, no I/O — so instrumenting simulation code with a
@@ -52,24 +52,6 @@ class Counter:
         return {"kind": self.kind, "name": self.name, "value": self.value}
 
 
-class Gauge:
-    """A point-in-time value (queue depth, in-flight count, ...)."""
-
-    __slots__ = ("name", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Union[int, float] = 0
-
-    def set(self, value: Union[int, float]) -> None:
-        self.value = value
-
-    def to_jsonable(self) -> dict:
-        return {"kind": self.kind, "name": self.name, "value": self.value}
-
-
 class Histogram:
     """Fixed-bucket histogram: bucket bounds are part of the metric identity.
 
@@ -112,14 +94,11 @@ class Histogram:
 
 
 class _NullInstrument:
-    """Shared no-op counter/gauge/histogram handed out by a disabled registry."""
+    """Shared no-op counter/histogram handed out by a disabled registry."""
 
     __slots__ = ()
 
     def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: Union[int, float]) -> None:
         pass
 
     def observe(self, value: float) -> None:
@@ -128,8 +107,8 @@ class _NullInstrument:
 
 _NULL_INSTRUMENT = _NullInstrument()
 
-#: Instruments a registry may hand out (the null variant quacks like all three).
-Instrument = Union[Counter, Gauge, Histogram, _NullInstrument]
+#: Instruments a registry may hand out (the null variant quacks like both).
+Instrument = Union[Counter, Histogram, _NullInstrument]
 
 
 class MetricRegistry:
@@ -142,9 +121,9 @@ class MetricRegistry:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._metrics: dict[str, Union[Counter, Gauge, Histogram]] = {}
+        self._metrics: dict[str, Union[Counter, Histogram]] = {}
 
-    def _get(self, name: str, kind: str) -> Optional[Union[Counter, Gauge, Histogram]]:
+    def _get(self, name: str, kind: str) -> Optional[Union[Counter, Histogram]]:
         existing = self._metrics.get(name)
         if existing is not None and existing.kind != kind:
             raise MetricError(
@@ -158,14 +137,6 @@ class MetricRegistry:
         found = self._get(name, "counter")
         if found is None:
             found = self._metrics[name] = Counter(name)
-        return found
-
-    def gauge(self, name: str) -> Instrument:
-        if not self.enabled:
-            return _NULL_INSTRUMENT
-        found = self._get(name, "gauge")
-        if found is None:
-            found = self._metrics[name] = Gauge(name)
         return found
 
     def histogram(self, name: str, bounds: Sequence[float]) -> Instrument:

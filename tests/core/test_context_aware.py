@@ -95,10 +95,6 @@ class TestQpMapping:
         assert correlation_to_qp(5.0) == pytest.approx(0.0)
         assert correlation_to_qp(-5.0) == pytest.approx(51.0)
 
-    def test_ceiling_applies(self):
-        config = QpMapConfig(qp_ceiling=40.0)
-        assert correlation_to_qp(-1.0, config) == pytest.approx(40.0)
-
     def test_uniform_map_and_statistics(self):
         stats = qp_map_statistics(np.full((4, 6), 35.0))
         assert stats["mean_qp"] == pytest.approx(35.0)

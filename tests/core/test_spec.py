@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.spec import ConfigError, from_spec, to_spec
 from repro.distrib.chaos import FaultPlan
-from repro.distrib.config import DistribTimeouts, RetryPolicy
+from repro.distrib.config import DistribTimeouts
 from repro.net.abr import AiOrientedAbr, BufferBasedAbr, ThroughputAbr
 from repro.net.congestion import AimdConfig, GccConfig
 from repro.net.control import (
@@ -49,7 +49,6 @@ SPEC_OBJECTS = [
     (FixedController(bitrate_bps=1.5e6, fec_overhead_ratio=0.2), None),
     (FaultPlan(name="p", seed=7, corrupt_prob=0.1, crash_after=3), None),
     (DistribTimeouts(heartbeat_interval_s=0.5, heartbeat_timeout_s=2.0), None),
-    (RetryPolicy(max_requeues=7, jitter=0.25), None),
 ]
 
 
@@ -81,10 +80,6 @@ class TestRejectedAtTheFactories:
     def test_private_gilbert_elliott_state_is_not_a_spec_field(self):
         with pytest.raises(ConfigError, match="_in_bad_state"):
             loss_model_from_spec({"kind": "gilbert_elliott", "_in_bad_state": True})
-
-    def test_fractional_max_requeues_is_not_truncated(self):
-        with pytest.raises(ConfigError, match="max_requeues"):
-            from_spec(RetryPolicy, {"max_requeues": 2.7})
 
     def test_extra_bandwidth_trace_key_rejected(self):
         with pytest.raises(ConfigError, match="BandwidthTrace"):

@@ -1,6 +1,7 @@
 """Tests for the DeViBench data model, pipeline stages, evaluation and stats."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -51,23 +52,30 @@ def pipeline_report(collection):
     return DeViBenchPipeline(collection=collection, generator=QAGenerator(GenerationConfig(seed=1))).run()
 
 
+#: The fields of one valid sample, as a saved artifact spells them.
+SAMPLE_FIELDS = dict(
+    sample_id="abc",
+    scene_name="s",
+    question="What is the score?",
+    options=["3-2", "1-4", "2-2", "5-0"],
+    correct_letter="A",
+    category=CATEGORY_TEXT_RICH,
+    multi_frame=False,
+    detail_scale=0.9,
+    object_name="scoreboard",
+    fact_key="score",
+    ground_truth="3-2",
+)
+
+
+def _artifact(*entries):
+    return json.dumps({"format": "devibench-v1", "samples": list(entries)})
+
+
 class TestQASample:
     def _sample(self, **overrides):
-        base = dict(
-            sample_id="abc",
-            scene_name="s",
-            question="What is the score?",
-            options=("3-2", "1-4", "2-2", "5-0"),
-            correct_letter="A",
-            category=CATEGORY_TEXT_RICH,
-            multi_frame=False,
-            detail_scale=0.9,
-            object_name="scoreboard",
-            fact_key="score",
-            ground_truth="3-2",
-        )
-        base.update(overrides)
-        return QASample(**base)
+        fields = {**SAMPLE_FIELDS, **overrides}
+        return QASample(**{**fields, "options": tuple(fields["options"])})
 
     def test_grading_by_letter_and_text(self):
         sample = self._sample()
@@ -83,6 +91,11 @@ class TestQASample:
     def test_option_count_validation(self):
         with pytest.raises(ValueError):
             self._sample(options=("3-2",))
+
+    def test_duplicate_options_rejected(self):
+        # Grading by letter would mark the second copy of the answer wrong.
+        with pytest.raises(ValueError, match="distinct"):
+            self._sample(options=("3-2", "3-2"))
 
     def test_to_fact_round_trip(self):
         fact = self._sample().to_fact()
@@ -115,6 +128,42 @@ class TestDatasetContainer:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             DeViBench.from_json('{"format": "other", "samples": []}')
+        with pytest.raises(ValueError):
+            DeViBench.from_json('["devibench-v1"]')
+        with pytest.raises(ValueError, match="list of samples"):
+            DeViBench.from_json('{"format": "devibench-v1"}')
+
+    def test_duplicate_sample_ids_rejected(self):
+        sample = TestQASample()._sample()
+        with pytest.raises(ValueError, match="sample 1: duplicate sample_id 'abc'"):
+            DeViBench([sample, sample])
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (
+                {k: v for k, v in SAMPLE_FIELDS.items() if k != "question"},
+                r"missing fields \['question'\]",
+            ),
+            ({**SAMPLE_FIELDS, "sample_id": "b", "answer": "x"}, r"unknown fields \['answer'\]"),
+            ({**SAMPLE_FIELDS, "sample_id": "b", "options": ["3-2", "3-2"]}, "distinct"),
+            (SAMPLE_FIELDS, "duplicate sample_id"),
+            ({**SAMPLE_FIELDS, "sample_id": "b", "options": 4}, "int"),
+            (["not", "an", "object"], "expected an object"),
+        ],
+        ids=[
+            "missing-field",
+            "unknown-field",
+            "duplicate-options",
+            "duplicate-id",
+            "non-list-options",
+            "non-object-sample",
+        ],
+    )
+    def test_from_json_names_the_faulty_sample(self, entry, message):
+        assert len(DeViBench.from_json(_artifact(SAMPLE_FIELDS))) == 1
+        with pytest.raises(ValueError, match=f"sample 1: .*{message}"):
+            DeViBench.from_json(_artifact(SAMPLE_FIELDS, entry))
 
 
 class TestVideoCollection:

@@ -1,4 +1,4 @@
-"""Tests for the unified dispatcher timing/retry configuration."""
+"""Tests for the dispatcher timing configuration and retry constants."""
 
 from __future__ import annotations
 
@@ -7,13 +7,17 @@ import pytest
 
 from repro.core.spec import from_spec, to_spec
 from repro.distrib.config import (
-    DEFAULT_RETRY,
+    BACKOFF_BASE_S,
+    BACKOFF_JITTER,
+    BACKOFF_MAX_S,
+    DEFAULT_MAX_REQUEUES,
     DEFAULT_TIMEOUTS,
     ConfigError,
     DistribTimeouts,
-    RetryPolicy,
     backoff_seed,
+    reconnect_delay_s,
 )
+from repro.distrib.coordinator import SweepCoordinator
 
 
 class TestDistribTimeouts:
@@ -67,39 +71,32 @@ class TestDistribTimeouts:
         assert DEFAULT_TIMEOUTS.override(heartbeat_timeout_s=None) is DEFAULT_TIMEOUTS
 
 
+class _MidpointRng:
+    """A generator whose every draw is 0.5, so the jitter factor is exactly 1."""
+
+    def random(self) -> float:
+        return 0.5
+
+
 class TestRetryPolicy:
     def test_validation(self):
-        with pytest.raises(ConfigError, match="max_requeues"):
-            RetryPolicy(max_requeues=-1)
-        with pytest.raises(ConfigError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ConfigError, match="backoff_max_s"):
-            RetryPolicy(backoff_base_s=1.0, backoff_max_s=0.5)
-        with pytest.raises(ConfigError, match="jitter"):
-            RetryPolicy(jitter=1.0)
+        for bad in (-1, 2.7):
+            with pytest.raises(ConfigError, match="max_requeues"):
+                SweepCoordinator(fingerprint="f", max_requeues=bad)
+        assert SweepCoordinator(fingerprint="f").max_requeues == DEFAULT_MAX_REQUEUES
 
     def test_delay_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(backoff_base_s=0.2, backoff_factor=2.0, backoff_max_s=1.0, jitter=0.0)
-        rng = np.random.default_rng(0)
-        delays = [policy.delay_s(attempt, rng) for attempt in range(5)]
-        assert delays == [0.2, 0.4, 0.8, 1.0, 1.0]
+        delays = [reconnect_delay_s(attempt, _MidpointRng()) for attempt in range(7)]
+        assert delays == pytest.approx([0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0])
+        assert BACKOFF_MAX_S == 5.0
 
     def test_jittered_delays_replay_from_the_same_seed(self):
-        policy = DEFAULT_RETRY
-        first = [policy.delay_s(n, np.random.default_rng(9)) for n in range(4)][0:4]
-        second = [policy.delay_s(n, np.random.default_rng(9)) for n in range(4)][0:4]
+        first = [reconnect_delay_s(n, np.random.default_rng(9)) for n in range(4)]
+        second = [reconnect_delay_s(n, np.random.default_rng(9)) for n in range(4)]
         assert first == second
-        base = policy.backoff_base_s
-        low, high = base * (1 - policy.jitter), base * (1 + policy.jitter)
+        low, high = BACKOFF_BASE_S * (1 - BACKOFF_JITTER), BACKOFF_BASE_S * (1 + BACKOFF_JITTER)
         assert low <= first[0] <= high
-
-    def test_spec_round_trip(self):
-        policy = RetryPolicy(max_requeues=7, jitter=0.25)
-        assert from_spec(RetryPolicy, to_spec(policy)) == policy
-
-    def test_unknown_spec_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown RetryPolicy field"):
-            from_spec(RetryPolicy, {"retries": 3})
+        assert first[0] != BACKOFF_BASE_S
 
 
 class TestBackoffSeed:

@@ -180,7 +180,7 @@ class TestFastpathFlag:
         source = snippet(
             """
             import os
-            memo = os.environ.get("REPRO_FINGERPRINT_CACHE")
+            home = os.environ.get("HOME")
             """
         )
         assert rules_of(lint_tree({"analysis/sim.py": source})) == []

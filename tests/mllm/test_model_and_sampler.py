@@ -5,19 +5,17 @@ import pytest
 
 from repro.mllm import (
     DEFAULT_MAX_PIXELS,
-    InferenceConfig,
     LatencyBudget,
     MOBILE_MLLM,
     QWEN2_5_OMNI,
     ReceiverSampler,
-    SamplerConfig,
     SimulatedMLLM,
     TokenizerConfig,
     ContinuousTokenizer,
     DiscreteTokenizer,
     compare_token_stream_bitrates,
-    default_inference_config,
     drop_and_recover_tokens,
+    first_response_latency_ms,
     transmission_budget_ms,
 )
 from repro.mllm.model import MODE_FREE_RESPONSE, MllmProfile
@@ -51,8 +49,8 @@ class TestSimulatedMLLM:
         fact = next(f for f in scene.facts if f.key == "score")
         good_decoded, good_orig = _frames(scene, qp=10, codec=codec)
         bad_decoded, bad_orig = _frames(scene, qp=50, codec=codec)
-        good = mllm.answer_question(fact, scene, good_decoded, good_orig, apply_frame_sampling=False)
-        bad = mllm.answer_question(fact, scene, bad_decoded, bad_orig, apply_frame_sampling=False)
+        good = mllm.answer_question(fact, scene, good_decoded, good_orig)
+        bad = mllm.answer_question(fact, scene, bad_decoded, bad_orig)
         assert good.knows and good.correct
         assert not bad.knows
 
@@ -60,16 +58,16 @@ class TestSimulatedMLLM:
         mllm = SimulatedMLLM(seed=0)
         fact = next(f for f in scene.facts if f.key == "present")
         decoded, originals = _frames(scene, qp=48, codec=codec)
-        answer = mllm.answer_question(fact, scene, decoded, originals, apply_frame_sampling=False)
+        answer = mllm.answer_question(fact, scene, decoded, originals)
         assert answer.knows
 
     def test_multi_frame_fact_requires_two_frames(self, scene, codec):
         mllm = SimulatedMLLM(seed=0)
         fact = next(f for f in scene.facts if f.multi_frame)
         decoded, originals = _frames(scene, qp=10, codec=codec, count=1)
-        single = mllm.answer_question(fact, scene, decoded, originals, apply_frame_sampling=False)
+        single = mllm.answer_question(fact, scene, decoded, originals)
         decoded2, originals2 = _frames(scene, qp=10, codec=codec, count=2)
-        double = mllm.answer_question(fact, scene, decoded2, originals2, apply_frame_sampling=False)
+        double = mllm.answer_question(fact, scene, decoded2, originals2)
         assert not single.knows
         assert double.knows
 
@@ -78,7 +76,7 @@ class TestSimulatedMLLM:
         fact = next(f for f in scene.facts if f.key == "score")
         decoded, originals = _frames(scene, qp=51, codec=codec)
         answer = mllm.answer_question(
-            fact, scene, decoded, originals, choices=list(fact.domain), apply_frame_sampling=False
+            fact, scene, decoded, originals, choices=list(fact.domain)
         )
         assert answer.guessed
         assert answer.answer in fact.domain
@@ -89,7 +87,7 @@ class TestSimulatedMLLM:
         fact = next(f for f in scene.facts if f.key == "score")
         decoded, originals = _frames(scene, qp=51, codec=codec)
         answer = mllm.answer_question(
-            fact, scene, decoded, originals, mode=MODE_FREE_RESPONSE, apply_frame_sampling=False
+            fact, scene, decoded, originals, mode=MODE_FREE_RESPONSE
         )
         assert answer.answer == "unclear"
         assert not answer.correct
@@ -141,10 +139,10 @@ class TestReceiverSampler:
         assert len(selected) >= 4
 
     def test_pixel_cap_enforced(self):
-        sampler = ReceiverSampler(SamplerConfig(max_pixels_per_frame=10_000))
-        frame = VideoFrame(0, 0.0, np.zeros((300, 300)))
-        prepared = sampler.prepare_frame(frame)
-        assert prepared.pixel_count <= 10_000
+        frame = VideoFrame(0, 0.0, np.zeros((720, 1280)))
+        assert frame.pixel_count > DEFAULT_MAX_PIXELS
+        prepared = ReceiverSampler().prepare_frame(frame)
+        assert 0 < prepared.pixel_count <= DEFAULT_MAX_PIXELS
 
     def test_default_pixel_cap_matches_paper(self):
         assert DEFAULT_MAX_PIXELS == 602_112
@@ -169,21 +167,13 @@ class TestReceiverSampler:
         frame = VideoFrame(0, 0.0, np.zeros((112, 112)))
         assert sampler.visual_token_count(frame) >= 16
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(max_fps=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(max_pixels_per_frame=0)
-
 
 class TestInferenceModel:
     def test_audio_only_floor_near_232ms(self):
-        config = default_inference_config()
-        assert config.first_response_latency_ms(visual_tokens=0) == pytest.approx(232, abs=5)
+        assert first_response_latency_ms(visual_tokens=0) == pytest.approx(232, abs=5)
 
     def test_latency_grows_with_tokens(self):
-        config = default_inference_config()
-        assert config.first_response_latency_ms(1000) > config.first_response_latency_ms(100)
+        assert first_response_latency_ms(1000) > first_response_latency_ms(100)
 
     def test_budget_subtraction(self):
         assert transmission_budget_ms() == pytest.approx(68.0)
@@ -193,12 +183,6 @@ class TestInferenceModel:
         assert budget.total_ms == pytest.approx(290.0)
         assert budget.meets_target
         assert budget.transmission_budget_ms == pytest.approx(50.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            InferenceConfig(base_latency_ms=-1)
-        with pytest.raises(ValueError):
-            InferenceConfig(first_chunk_output_tokens=0)
 
 
 class TestTokenizers:

@@ -29,14 +29,6 @@ class TestCounter:
             counter.inc(-1)
 
 
-class TestGauge:
-    def test_set_overwrites(self):
-        gauge = MetricRegistry().gauge("fleet.queue.depth")
-        gauge.set(7)
-        gauge.set(3)
-        assert gauge.value == 3
-
-
 class TestHistogram:
     def test_inclusive_upper_edges_and_overflow(self):
         histogram = MetricRegistry().histogram("h", bounds=(1.0, 2.0))
@@ -66,7 +58,7 @@ class TestRegistry:
         registry = MetricRegistry()
         registry.counter("x")
         with pytest.raises(MetricError):
-            registry.gauge("x")
+            registry.histogram("x", bounds=(1.0,))
 
     def test_histogram_rebind_with_different_bounds_raises(self):
         registry = MetricRegistry()
@@ -96,11 +88,9 @@ class TestDisabledRegistry:
     def test_hands_out_shared_null_instrument(self):
         registry = MetricRegistry(enabled=False)
         counter = registry.counter("x")
-        assert counter is registry.gauge("y")
         assert counter is registry.histogram("z", bounds=(1.0,))
         # No-ops by contract; nothing registers, nothing serializes.
         counter.inc()
-        counter.set(3)
         counter.observe(1.0)
         assert registry.snapshot() == {}
         assert registry.to_jsonl() == ""

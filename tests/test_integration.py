@@ -146,10 +146,10 @@ class TestEndToEndAccuracyShape:
         base = UniformStreamer().encode_frame(frame, target_bitrate_bps=2_000_000, fps=2.0)
         originals = [frame]
         ours_answer = mllm.answer_question(
-            fact, scene, [VideoFrame(0, 0.0, ours.decoded)], originals, apply_frame_sampling=False
+            fact, scene, [VideoFrame(0, 0.0, ours.decoded)], originals
         )
         base_answer = mllm.answer_question(
-            fact, scene, [VideoFrame(0, 0.0, base.decoded)], originals, apply_frame_sampling=False
+            fact, scene, [VideoFrame(0, 0.0, base.decoded)], originals
         )
         assert ours_answer.knows and base_answer.knows
 
