@@ -266,9 +266,8 @@ def main() -> None:
         metavar="PATH",
         default=None,
         help=(
-            "append one fleet status snapshot per interval to this JSONL "
-            "file (the machine-readable twin of "
-            "python -m repro.distrib.monitor; autoscaling hook)"
+            "append one fleet status snapshot per interval, plus a "
+            "terminal frame, to this JSONL file (autoscaling hook)"
         ),
     )
     parser.add_argument(
@@ -276,7 +275,7 @@ def main() -> None:
         type=float,
         default=1.0,
         metavar="SECONDS",
-        help="seconds between status snapshots (monitors and --status-json)",
+        help="seconds between --status-json snapshots",
     )
     args = parser.parse_args()
 

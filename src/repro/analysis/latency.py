@@ -19,6 +19,14 @@ from ..mllm.inference import (
 )
 from ..net.abr import expected_frame_latency
 
+#: The path and codec every budget scenario shares: a 10 Mbps uplink with
+#: 30 ms one-way delay, frames at 2 fps, 8 ms encode and 4 ms decode.
+BANDWIDTH_BPS = 10_000_000.0
+ONE_WAY_DELAY_S = 0.030
+FPS = 2.0
+ENCODE_MS = 8.0
+DECODE_MS = 4.0
+
 
 @dataclass
 class BudgetScenario:
@@ -27,12 +35,7 @@ class BudgetScenario:
     name: str
     bitrate_bps: float
     loss_rate: float
-    bandwidth_bps: float = 10_000_000.0
-    one_way_delay_s: float = 0.030
-    fps: float = 2.0
     visual_tokens: int = 600
-    encode_ms: float = 8.0
-    decode_ms: float = 4.0
     jitter_buffer_ms: float = 0.0
 
 
@@ -40,22 +43,22 @@ def budget_for_scenario(scenario: BudgetScenario) -> LatencyBudget:
     """Assemble the latency budget of one scenario."""
     transmission_s = expected_frame_latency(
         scenario.bitrate_bps,
-        fps=scenario.fps,
-        bandwidth_bps=scenario.bandwidth_bps,
+        fps=FPS,
+        bandwidth_bps=BANDWIDTH_BPS,
         loss_rate=scenario.loss_rate,
-        rtt_s=2 * scenario.one_way_delay_s,
-        propagation_delay_s=scenario.one_way_delay_s,
+        rtt_s=2 * ONE_WAY_DELAY_S,
+        propagation_delay_s=ONE_WAY_DELAY_S,
     )
     inference_ms = first_response_latency_ms(scenario.visual_tokens)
     return LatencyBudget(
         response_target_ms=DEFAULT_RESPONSE_BUDGET_MS,
         capture_ms=1000.0 / 60.0,
-        encode_ms=scenario.encode_ms,
+        encode_ms=ENCODE_MS,
         transmission_ms=transmission_s * 1000.0,
-        decode_ms=scenario.decode_ms,
+        decode_ms=DECODE_MS,
         jitter_buffer_ms=scenario.jitter_buffer_ms,
         inference_ms=inference_ms,
-        downlink_ms=scenario.one_way_delay_s * 1000.0,
+        downlink_ms=ONE_WAY_DELAY_S * 1000.0,
     )
 
 

@@ -2,9 +2,8 @@
 
 The sweep engine (:mod:`repro.analysis.sweeps`) persists one JSON record per
 (experiment × scenario × seed) cell but nothing reads those records back.
-This module closes the loop: it loads a results directory (or an in-memory
-:class:`~repro.analysis.sweeps.SweepReport`), aggregates each (experiment,
-scenario) group **across seeds** — mean, sample std, and a Student-t 95%
+This module closes the loop: it loads a results directory, aggregates each
+(experiment, scenario) group **across seeds** — mean, sample std, and a Student-t 95%
 confidence interval for every numeric field, recursively through nested
 result structures — and renders cross-scenario comparison tables as plain
 text and Markdown plus a machine-readable ``report.json``.
@@ -25,12 +24,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ..obs import FAULT_AXES
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .sweeps import SweepReport
 
 __all__ = [
     "FailedCell",
@@ -42,7 +38,6 @@ __all__ = [
     "load_records",
     "build_digest",
     "digest_results_dir",
-    "digest_sweep_report",
     "write_report",
     "main",
 ]
@@ -493,26 +488,6 @@ def build_digest(records: Iterable[Mapping[str, Any]]) -> SweepDigest:
 def digest_results_dir(results_dir: str | Path) -> SweepDigest:
     """Load + aggregate everything persisted under ``results_dir``."""
     return build_digest(load_records(results_dir))
-
-
-def digest_sweep_report(report: "SweepReport") -> SweepDigest:
-    """Aggregate an in-memory sweep run without touching the filesystem.
-
-    Cached and fresh cells look identical (both carry the JSON-able result),
-    so this digests exactly the grid that ran — nothing more, even when the
-    results directory holds older sweeps.
-    """
-    records = [
-        {
-            "experiment": cell.experiment,
-            "scenario": cell.scenario.to_jsonable(),
-            "seed": cell.seed,
-            "result": cell.result,
-            "error": cell.error,
-        }
-        for cell in report.cells
-    ]
-    return build_digest(records)
 
 
 def write_report(digest: SweepDigest, out_dir: str | Path) -> dict[str, Path]:

@@ -145,10 +145,7 @@ class BenchmarkEvaluator:
         )
 
 
-def coarse_qa_breakage_rate(
-    collection: VideoCollection,
-    mllm: Optional[SimulatedMLLM] = None,
-) -> dict[str, float]:
+def coarse_qa_breakage_rate(collection: VideoCollection) -> dict[str, float]:
     """Reproduce the Section 2.3 measurement on StreamingBench-style coarse QA.
 
     Existing benchmarks ask coarse questions; the paper finds only ~8 % of
@@ -156,7 +153,7 @@ def coarse_qa_breakage_rate(
     corpus's *coarse* facts (detail ≤ 0.3), answer them on the original and on
     the 200 Kbps rendition, and report the flip rate.
     """
-    mllm = mllm or SimulatedMLLM(seed=7)
+    mllm = SimulatedMLLM(seed=7)
     prepared_videos = collection.prepare_all()
     flips = 0
     total = 0

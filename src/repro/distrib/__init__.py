@@ -11,7 +11,10 @@ records back (:mod:`repro.distrib.worker`), and a
 into :class:`~repro.analysis.sweeps.SweepRunner` as a drop-in
 :class:`~repro.analysis.sweeps.CellBackend`.
 
-Workers always dial the coordinator.  Start one per machine or core with::
+Workers always dial the coordinator, and they are its only protocol
+peers; fleet status leaves through the backend's ``status_json`` sink
+(``sweep_scenarios.py --status-json``).  Start a worker per machine or
+core with::
 
     python -m repro.distrib.worker --connect HOST:PORT
 

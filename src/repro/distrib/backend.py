@@ -65,10 +65,10 @@ class DistributedBackend(CellBackend):
 
     ``status_json`` names a JSONL file that receives one
     :data:`~repro.distrib.protocol.STATUS_SCHEMA` fleet snapshot per
-    ``status_interval_s`` (plus one terminal frame at close) — the
-    machine-readable twin of ``python -m repro.distrib.monitor`` and the
-    ROADMAP's autoscaling hook: a supervisor tails it and spawns or retires
-    workers against ``queue_depth``.
+    ``status_interval_s`` (plus one terminal frame at close) — the fleet's
+    one status stream and its autoscaling hook: a supervisor tails it and
+    spawns or retires workers against ``queue_depth``.  Without it the
+    coordinator runs no status thread.
     """
 
     def __init__(

@@ -51,8 +51,8 @@ class WorkerStats:
     reconnecting worker's sessions accumulate into one row).
 
     The field set *is* the fleet metric vocabulary
-    (:data:`repro.obs.metrics.WORKER_COUNTER_FIELDS`): the live ``status``
-    stream and the post-hoc hotspot tables in ``repro.analysis.report``
+    (:data:`repro.obs.metrics.WORKER_COUNTER_FIELDS`): the live status
+    snapshot and the post-hoc hotspot tables in ``repro.analysis.report``
     both serialize these counters through :meth:`to_jsonable`, so there is
     exactly one bookkeeping site and one naming scheme.
     """
@@ -90,8 +90,6 @@ class CoordinatorStats:
     #: Cells executed by the local-pool fallback after the worker pool
     #: emptied (filled in by the backend, not the coordinator).
     fallback_cells: int = 0
-    #: Read-only ``status`` observers that completed the handshake.
-    monitors_connected: int = 0
     #: Fault-class counters: error-record ``type`` -> count.  Keys are the
     #: same strings report.py's ``error_type`` hotspot axis ranks, so the
     #: live stream and the post-hoc report share one fault vocabulary.
@@ -155,9 +153,8 @@ class SweepCoordinator:
         # Instant the live-worker count last hit zero; drives the
         # no-workers timeout in :meth:`results`.
         self._workers_gone_since = wallclock.monotonic()
-        # Status stream state: attached read-only monitors, the emitter
-        # thread's stop latch, and a monotonic frame sequence number.
-        self._monitors: list[MessageChannel] = []
+        # Status stream state: the emitter thread's stop latch and a
+        # monotonic frame sequence number.
         self._stop_status = threading.Event()
         self._status_seq = 0
         self._started_monotonic: Optional[float] = None
@@ -179,8 +176,9 @@ class SweepCoordinator:
     def bind(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Listen for workers on ``(host, port)``; returns the bound address.
 
-        Port 0 picks an ephemeral port (tests); the accept loop and the
-        status stream run on daemon threads until :meth:`close`.
+        Port 0 picks an ephemeral port (tests); the accept loop, and the
+        status stream when a ``status_sink`` is given, run on daemon
+        threads until :meth:`close`.
         """
         if self._server is not None:
             raise RuntimeError("coordinator is already listening")
@@ -192,7 +190,8 @@ class SweepCoordinator:
         self._server = server
         self.address = server.getsockname()[:2]
         self._spawn(self._accept_loop, name="distrib-accept")
-        self._spawn(self._status_loop, name="distrib-status")
+        if self.status_sink is not None:
+            self._spawn(self._status_loop, name="distrib-status")
         return self.address
 
     def _spawn(self, target, *args, name: str) -> None:
@@ -317,43 +316,25 @@ class SweepCoordinator:
 
     # -- status stream -----------------------------------------------------
 
-    @property
-    def queue_depth(self) -> int:
-        """Cells waiting for dispatch (pending; excludes in-flight).
-
-        Public so supervisors (the ROADMAP's autoscaling hook) can poll
-        backlog directly; the ``status`` stream reads the same state."""
-        with self._lock:
-            return len(self._pending)
-
-    def inflight_by_worker(self) -> dict[str, int]:
-        """Cells currently executing, keyed by worker name.
-
-        A worker that reconnected contributes all of its live connections'
-        in-flight cells to one row (names key the aggregation, exactly as
-        in :class:`WorkerStats`)."""
-        with self._lock:
-            return self._inflight_by_worker_locked()
-
-    def _inflight_by_worker_locked(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for connection in self._connections:
-            if connection.inflight:
-                counts[connection.name] = counts.get(connection.name, 0) + len(connection.inflight)
-        return counts
-
     def status_snapshot(self) -> dict:
-        """One machine-readable fleet snapshot — the ``status`` payload.
+        """One machine-readable fleet snapshot.
 
-        The same dict is streamed to attached monitors, written (one JSON
-        object per line) by the backend's ``--status-json`` sink, and
-        available here for tests and supervisors.  Shape is versioned by
+        The same dict is written (one JSON object per line) by the
+        backend's ``--status-json`` sink and is available here for tests
+        and supervisors.  Shape is versioned by
         :data:`~repro.distrib.protocol.STATUS_SCHEMA`; fields are documented
         in docs/OBSERVABILITY.md.
         """
         with self._lock:
             self._status_seq += 1
-            inflight = self._inflight_by_worker_locked()
+            # A reconnected worker's live connections share one row, keyed
+            # by name exactly as in :class:`WorkerStats`.
+            inflight: dict[str, int] = {}
+            for connection in self._connections:
+                if connection.inflight:
+                    inflight[connection.name] = inflight.get(connection.name, 0) + len(
+                        connection.inflight
+                    )
             workers = {
                 name: {**stats.to_jsonable(), "inflight": inflight.get(name, 0)}
                 for name, stats in sorted(self.stats.per_worker.items())
@@ -387,46 +368,12 @@ class SweepCoordinator:
             self._emit_status()
 
     def _emit_status(self) -> None:
-        snapshot = self.status_snapshot()
-        if self.status_sink is not None:
-            try:
-                self.status_sink(snapshot)
-            except OSError:
-                # A full disk or broken pipe on the sink must not take the
-                # sweep down; the next frame will try again.
-                pass
-        with self._lock:
-            monitors = list(self._monitors)
-        for channel in monitors:
-            try:
-                channel.send("status", **snapshot)
-            except (OSError, ProtocolError):
-                # A departed monitor is routine; detach and move on.
-                with self._lock:
-                    if channel in self._monitors:
-                        self._monitors.remove(channel)
-                channel.close()
-
-    def _monitor_loop(self, channel: MessageChannel) -> None:
-        with self._lock:
-            self._monitors.append(channel)
         try:
-            # One immediate frame so an attaching monitor renders the fleet
-            # without waiting out the first interval.
-            channel.send("status", **self.status_snapshot())
-            while True:
-                try:
-                    message = channel.recv()
-                except (TimeoutError, socket.timeout):
-                    # Monitors are read-mostly; silence is normal, not death.
-                    continue
-                if message is None or message.get("type") == "bye":
-                    return
-                # Anything else from a monitor is ignored (forward compat).
-        finally:
-            with self._lock:
-                if channel in self._monitors:
-                    self._monitors.remove(channel)
+            self.status_sink(self.status_snapshot())
+        except OSError:
+            # A full disk or broken pipe on the sink must not take the
+            # sweep down; the next frame will try again.
+            pass
 
     # -- per-connection session --------------------------------------------
 
@@ -441,16 +388,7 @@ class SweepCoordinator:
                 protocol=PROTOCOL_VERSION,
                 fingerprint=self.fingerprint,
             )
-            role = self._handshake(channel, connection)
-            if role is None:
-                return
-            if role == "monitor":
-                # Read-only observer: deliberately NOT registered as a live
-                # worker — an attached monitor must not keep a workerless
-                # sweep from timing out into the local fallback.
-                with self._lock:
-                    self.stats.monitors_connected += 1
-                self._monitor_loop(channel)
+            if not self._handshake(channel, connection):
                 return
             with self._lock:
                 self.stats.workers_connected += 1
@@ -471,15 +409,12 @@ class SweepCoordinator:
                         self._workers_gone_since = wallclock.monotonic()
             channel.close()
 
-    def _handshake(self, channel: MessageChannel, connection: _Connection) -> Optional[str]:
-        """Run the accept side of the handshake; returns the peer's role
-        (``"worker"`` or ``"monitor"``) on success, None on refusal."""
+    def _handshake(self, channel: MessageChannel, connection: _Connection) -> bool:
+        """Run the accept side of the handshake; True once a worker is
+        welcomed.  Any other peer role is refused without a reply."""
         message = channel.recv()
-        if message is None or message.get("type") != "hello":
-            return None
-        role = message.get("role")
-        if role not in ("worker", "monitor"):
-            return None
+        if message is None or message.get("type") != "hello" or message.get("role") != "worker":
+            return False
         if message.get("worker"):
             connection.name = str(message["worker"])
         reason = None
@@ -488,12 +423,10 @@ class SweepCoordinator:
                 f"protocol version mismatch: coordinator speaks {PROTOCOL_VERSION}, "
                 f"peer speaks {message.get('protocol')}"
             )
-        elif role == "worker" and message.get("fingerprint") != self.fingerprint:
+        elif message.get("fingerprint") != self.fingerprint:
             # The cell cache key folds in this fingerprint; a worker running
             # a different source tree would compute *different* results for
             # the same cache key, silently corrupting the results directory.
-            # Monitors never execute cells, so they skip this check — any
-            # checkout may observe a sweep.
             reason = (
                 "package fingerprint mismatch: the worker's repro source tree "
                 "differs from the coordinator's — update the worker's checkout"
@@ -502,9 +435,9 @@ class SweepCoordinator:
             with self._lock:
                 self.stats.workers_rejected += 1
             channel.send("reject", reason=reason)
-            return None
+            return False
         channel.send("welcome")
-        return role
+        return True
 
     def _session_loop(self, channel: MessageChannel, connection: _Connection) -> None:
         while True:
@@ -620,38 +553,33 @@ class SweepCoordinator:
                 connection.inflight.clear()
         return already, pending
 
-    def close(self, linger_s: Optional[float] = None) -> None:
+    def close(self) -> None:
         """Shut the coordinator down.
 
-        Waits up to ``linger_s`` (default ``timeouts.linger_s``) for
-        connection threads to finish serving ``done`` to idle workers (they
-        poll within ``wait_poll_s``), then force-closes whatever remains.
+        Waits up to ``timeouts.linger_s`` for connection threads to finish
+        serving ``done`` to idle workers (they poll within ``wait_poll_s``),
+        then force-closes whatever remains.
         """
         if self._closed:
             return
         # One terminal frame (``done`` true on a completed sweep, final
-        # counters either way) so sinks and monitors see how it ended
-        # before the stream stops.
-        if self._server is not None:
+        # counters either way) so the sink sees how it ended before the
+        # stream stops.
+        if self._server is not None and self.status_sink is not None:
             self._emit_status()
         self._stop_status.set()
         self._closed = True
-        if linger_s is None:
-            linger_s = self.timeouts.linger_s
         if self._server is not None:
             try:
                 self._server.close()
             except OSError:
                 pass
-        deadline = wallclock.monotonic() + linger_s
+        deadline = wallclock.monotonic() + self.timeouts.linger_s
         for thread in self._threads:
             remaining = deadline - wallclock.monotonic()
             if remaining > 0 and thread is not threading.current_thread():
                 thread.join(timeout=remaining)
         with self._lock:
             connections = list(self._connections)
-            monitors = list(self._monitors)
         for connection in connections:
             connection.channel.close()
-        for channel in monitors:
-            channel.close()

@@ -24,14 +24,11 @@ type               direction  fields
 ``result``         → coord    ``task_id``, ``record`` (result *or* error record)
 ``heartbeat``      → coord    liveness while executing; carries nothing
 ``bye``            → coord    graceful disconnect (e.g. ``--max-cells`` reached)
-``status``         coord →    one :data:`STATUS_SCHEMA` fleet snapshot (queue
-                              depth, per-worker counters, fault classes),
-                              streamed to attached monitors
-                              (``python -m repro.distrib.monitor``)
 =================  =========  =================================================
 
-Peers are either ``worker`` s (execute cells) or ``monitor`` s (read-only
-observers of the ``status`` stream); the role rides in the ``hello``.
+Every peer of the coordinator is a ``worker`` (the role rides in the
+``hello``); the coordinator refuses any other role.  Fleet status leaves
+the coordinator through the backend's ``--status-json`` sink, not the wire.
 
 The coordinator treats *any* received message as proof of liveness; a
 worker that stays silent longer than the heartbeat timeout is presumed
@@ -69,14 +66,13 @@ MESSAGE_TYPES = frozenset(
         "result",
         "heartbeat",
         "bye",
-        "status",
     }
 )
 
-#: Schema identifier carried by every ``status`` payload (and every line of
-#: a ``--status-json`` stream).  Bump when the snapshot shape changes; the
-#: monitor refuses frames it does not understand instead of mis-rendering
-#: them.  Field reference: docs/OBSERVABILITY.md.
+#: Schema identifier carried by every fleet status snapshot (every line of
+#: a ``--status-json`` stream).  Bump when the snapshot shape changes, so a
+#: consumer can refuse frames it does not understand instead of
+#: mis-reading them.  Field reference: docs/OBSERVABILITY.md.
 STATUS_SCHEMA = "repro-status-v1"
 
 _HEADER = struct.Struct(">I")

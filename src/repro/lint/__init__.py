@@ -8,7 +8,7 @@ only meaningful if simulation code never reads wall clocks or parses
 robust if every protocol message type that can be sent is actually
 handled.  ``python -m repro.lint`` verifies those invariants statically on
 every commit; see :data:`repro.lint.checkers.RULES` for the rule set and
-``docs/LINT.md`` for the suppression/baseline workflow.
+``docs/LINT.md`` for the inline-suppression workflow.
 """
 
 from .checkers import RULES, FileContext, check_file

@@ -579,7 +579,7 @@ class BroadExceptChecker(ScopedVisitor):
 class PrintDisciplineChecker(ScopedVisitor):
     """No bare ``print()`` outside CLI entry modules.
 
-    Library stdout is load-bearing here: monitors emit JSONL status frames,
+    Library stdout is load-bearing here: CLIs emit JSONL and JSON reports,
     the report CLI pipes Markdown, and telemetry exports are byte-compared
     by equivalence gates — a stray ``print`` in a library module corrupts
     whichever of those streams happens to share the process.  Exemptions:

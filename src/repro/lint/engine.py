@@ -2,21 +2,19 @@
 
 Orchestrates the pipeline: discover ``*.py`` files, parse, run the
 single-file checkers (:mod:`repro.lint.checkers`) and the cross-file
-protocol checker (:mod:`repro.lint.protocol_check`), drop findings
-suppressed inline, then match the remainder against the committed baseline
-(:mod:`repro.lint.baseline`).  The result object carries everything the
-CLI renders and the exit code derives from.
+protocol checker (:mod:`repro.lint.protocol_check`), then drop findings
+suppressed inline.  Inline suppressions are the only exemption: a finding
+is fixed, or suppressed where the reason is visible in the code.  The
+result object carries everything the CLI renders and the exit code derives
+from.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
-from .baseline import apply_baseline, forbidden_entries, load_baseline
 from .checkers import FileContext, check_file
 from .findings import Finding, is_suppressed, suppressions_for
 from .protocol_check import check_protocol
@@ -32,32 +30,20 @@ class LintResult:
     root: str
     files_checked: int = 0
     findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    stale_baseline: list[tuple[str, str, str]] = field(default_factory=list)
-    forbidden_baseline: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.findings and not self.stale_baseline and not self.forbidden_baseline
+        return not self.findings
 
     def to_jsonable(self) -> dict:
         return {
-            "version": 1,
+            "version": 2,
             "root": self.root,
             "files_checked": self.files_checked,
             "clean": self.clean,
             "findings": [finding.to_jsonable() for finding in self.findings],
-            "baselined": len(self.baselined),
             "suppressed": self.suppressed,
-            "stale_baseline": [
-                {"rule": rule, "path": path, "line": line}
-                for rule, path, line in self.stale_baseline
-            ],
-            "forbidden_baseline": [
-                {"rule": rule, "path": path, "line": line}
-                for rule, path, line in self.forbidden_baseline
-            ],
         }
 
 
@@ -94,7 +80,7 @@ def parse_tree(root: Path) -> tuple[dict[str, FileContext], list[Finding]]:
     return contexts, errors
 
 
-def lint_root(root: Path, baseline_path: Optional[Path] = None) -> LintResult:
+def lint_root(root: Path) -> LintResult:
     """Lint every python file under ``root``."""
     root = root.resolve()
     result = LintResult(root=str(root))
@@ -106,7 +92,6 @@ def lint_root(root: Path, baseline_path: Optional[Path] = None) -> LintResult:
     findings.extend(check_protocol(contexts))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-    surviving: list[Finding] = []
     suppression_cache: dict[str, dict[int, set[str]]] = {}
     for finding in findings:
         ctx = contexts.get(finding.path)
@@ -116,29 +101,5 @@ def lint_root(root: Path, baseline_path: Optional[Path] = None) -> LintResult:
             if is_suppressed(finding, suppression_cache[finding.path]):
                 result.suppressed += 1
                 continue
-        surviving.append(finding)
-
-    baseline = Counter()
-    if baseline_path is not None:
-        baseline = load_baseline(baseline_path)
-        result.forbidden_baseline = forbidden_entries(baseline)
-    source_lines = {
-        (ctx.relpath, lineno): line
-        for ctx in contexts.values()
-        for lineno, line in enumerate(ctx.lines, start=1)
-    }
-    kept, baselined, stale = apply_baseline(surviving, source_lines, baseline)
-    result.findings = kept
-    result.baselined = baselined
-    result.stale_baseline = stale
+        result.findings.append(finding)
     return result
-
-
-def source_lines_map(root: Path) -> dict[tuple[str, int], str]:
-    """(path, lineno) -> raw line for every scanned file (baseline writing)."""
-    contexts, _ = parse_tree(root.resolve())
-    return {
-        (ctx.relpath, lineno): line
-        for ctx in contexts.values()
-        for lineno, line in enumerate(ctx.lines, start=1)
-    }

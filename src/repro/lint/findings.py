@@ -23,14 +23,6 @@ class Finding:
     col: int
     message: str
 
-    def key(self, source_line: str) -> tuple[str, str, str]:
-        """Baseline identity: rule + path + the stripped source line.
-
-        Line *content* rather than line *number* keeps baseline entries
-        stable when unrelated edits shift the file around.
-        """
-        return (self.rule, self.path, source_line.strip())
-
     def to_jsonable(self) -> dict:
         return {
             "rule": self.rule,

@@ -4,8 +4,8 @@ The dispatcher's wire vocabulary is declared once, as ``MESSAGE_TYPES`` in
 ``distrib/protocol.py``.  Messages are constructed with
 ``channel.send("<type>", ...)`` and dispatched by comparing
 ``message.get("type")`` (directly or via a local variable) against string
-literals in ``coordinator.py``/``worker.py``/``monitor.py``.  All three
-views must agree:
+literals in ``coordinator.py``/``worker.py``.  All three views must
+agree:
 
 * every declared type is sent somewhere and handled somewhere;
 * every sent type is declared and handled;
@@ -160,8 +160,8 @@ def check_protocol(contexts: dict[str, FileContext]) -> list[Finding]:
     """Cross-check vocabulary, send sites and dispatch sites.
 
     Applies to every scanned directory holding a ``protocol.py`` under a
-    ``distrib`` path component; ``coordinator.py``/``worker.py``/
-    ``monitor.py`` siblings are the dispatch surfaces.
+    ``distrib`` path component; ``coordinator.py``/``worker.py`` siblings
+    are the dispatch surfaces.
     """
     findings: list[Finding] = []
     for relpath, ctx in sorted(contexts.items()):
@@ -170,7 +170,7 @@ def check_protocol(contexts: dict[str, FileContext]) -> list[Finding]:
             continue
         siblings = [
             contexts[str(path.with_name(name))]
-            for name in ("coordinator.py", "worker.py", "monitor.py")
+            for name in ("coordinator.py", "worker.py")
             if str(path.with_name(name)) in contexts
         ]
         findings.extend(_check_one(ctx, siblings))
@@ -220,7 +220,7 @@ def _check_one(protocol_ctx: FileContext, siblings: list[FileContext]) -> list[F
                 path,
                 line,
                 f"message type {value!r} is sent but no dispatch branch in "
-                "coordinator.py/worker.py/monitor.py handles it — the "
+                "coordinator.py/worker.py handles it — the "
                 "receiver will silently drop it",
             )
     for value in sorted(handled):
@@ -245,13 +245,13 @@ def _check_one(protocol_ctx: FileContext, siblings: list[FileContext]) -> list[F
                 protocol_ctx.relpath,
                 vocab_line,
                 f"message type {value!r} is declared in {VOCAB_NAME} but "
-                "never sent by coordinator.py/worker.py/monitor.py",
+                "never sent by coordinator.py/worker.py",
             )
         if value not in handled:
             emit(
                 protocol_ctx.relpath,
                 vocab_line,
                 f"message type {value!r} is declared in {VOCAB_NAME} but "
-                "never handled by coordinator.py/worker.py/monitor.py",
+                "never handled by coordinator.py/worker.py",
             )
     return findings

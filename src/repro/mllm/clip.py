@@ -116,15 +116,11 @@ class CorrelationMap:
 class ClipTextEncoder:
     """Language side of the CLIP substitute."""
 
-    def __init__(self, space: Optional[ConceptSpace] = None) -> None:
-        self.space = space or ConceptSpace()
+    def __init__(self, space: ConceptSpace) -> None:
+        self.space = space
 
     def encode(self, text: str, extra_concepts: Sequence[str] = ()) -> np.ndarray:
-        concepts = self.space.extract_concepts(text)
-        for concept in extra_concepts:
-            if concept not in concepts:
-                concepts.append(concept)
-        return self.space.encode_concepts(concepts)
+        return self.space.encode_concepts(self.concepts(text, extra_concepts))
 
     def concepts(self, text: str, extra_concepts: Sequence[str] = ()) -> tuple[str, ...]:
         concepts = self.space.extract_concepts(text)

@@ -4,7 +4,7 @@ Two primitives and a bundle:
 
 - :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
   in a :class:`MetricRegistry`, plus the canonical fleet metric vocabulary
-  shared by the coordinator's live ``status`` stream and report.py.
+  shared by the coordinator's status snapshot and report.py.
 - :mod:`repro.obs.trace` — nestable spans carrying sim-time for
   in-simulation work and wall-clock (via ``core/wallclock``) for fleet
   work, exported as stable-schema JSONL.
@@ -14,8 +14,8 @@ Two primitives and a bundle:
   make disabled telemetry free enough for hot paths and provably inert: it draws no RNG, reads no clock and changes no
   session stat (gated in tests).
 
-See docs/OBSERVABILITY.md for the vocabulary, span schema and the live
-fleet observatory (``python -m repro.distrib.monitor``).
+See docs/OBSERVABILITY.md for the vocabulary, span schema and the
+fleet status stream (``sweep_scenarios.py --status-json``).
 """
 
 from __future__ import annotations

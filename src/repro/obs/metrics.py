@@ -15,7 +15,7 @@ telemetry is off — cheap enough to live inside ``net/`` without moving the
 untraced ``uplink_*`` timings of the end-to-end benchmark.
 
 This module is also the home of the **fleet metric vocabulary**: the
-canonical names shared by the coordinator's live ``status`` stream, the
+canonical names shared by the coordinator's status snapshot, the
 per-worker counters in ``repro.distrib.coordinator.WorkerStats``, and the
 post-hoc failure-hotspot tables in ``repro.analysis.report`` — one
 vocabulary, bookkept once (see docs/OBSERVABILITY.md).
@@ -173,14 +173,14 @@ NULL_REGISTRY = MetricRegistry(enabled=False)
 # Fleet metric vocabulary
 #
 # One naming scheme for fleet counters, defined here and imported by the
-# coordinator (live bookkeeping + ``status`` wire message), the monitor
-# dashboard, and report.py's post-hoc hotspot tables — so the live stream
-# and the post-hoc report can never disagree about what a counter is called.
+# coordinator (live bookkeeping + the ``--status-json`` snapshot) and
+# report.py's post-hoc hotspot tables — so the live stream and the
+# post-hoc report can never disagree about what a counter is called.
 # --------------------------------------------------------------------------
 
 #: Per-worker fleet counter fields, in canonical render order.  This is the
 #: field list of ``repro.distrib.coordinator.WorkerStats``; its
-#: ``to_jsonable`` and the ``status`` stream's per-worker blocks are both
+#: ``to_jsonable`` and the status snapshot's per-worker blocks are both
 #: generated from this tuple.
 WORKER_COUNTER_FIELDS = (
     "sessions",
@@ -192,7 +192,7 @@ WORKER_COUNTER_FIELDS = (
 )
 
 #: Axes along which fleet faults are classified and ranked: ``(record key,
-#: human label)`` pairs shared by the ``status`` stream's fault-class block
+#: human label)`` pairs shared by the status snapshot's fault-class block
 #: and ``repro.analysis.report``'s failure-hotspot tables.
 FAULT_AXES = (
     ("error_type", "fault class"),
@@ -229,7 +229,7 @@ METRIC_VOCAB: Mapping[str, str] = {
     "sweep.cells.executed": "cells executed this run",
     "sweep.cells.cached": "cells served from the content-hash cache",
     "sweep.cells.failed": "cells that resolved to an error record",
-    # fleet layer — streamed by the coordinator `status` message
+    # fleet layer — the coordinator's status snapshot (`--status-json`)
     "fleet.queue.depth": "cells queued and not yet dispatched",
     "fleet.cells.inflight": "cells dispatched and not yet resolved",
     "fleet.workers.live": "workers currently connected",

@@ -11,7 +11,6 @@ from repro.analysis.report import (
     SweepDigest,
     build_digest,
     digest_results_dir,
-    digest_sweep_report,
     flatten_numeric,
     load_records,
     main,
@@ -176,12 +175,6 @@ class TestEndToEnd:
                 assert scenario.metrics  # every numeric leaf aggregated
                 for aggregate in scenario.metrics.values():
                     assert aggregate.count == 2
-
-    def test_digest_sweep_report_matches_dir(self, tmp_path):
-        report = SweepRunner(results_dir=tmp_path, processes=1).run(self.GRID)
-        from_dir = digest_results_dir(tmp_path)
-        from_memory = digest_sweep_report(report)
-        assert from_memory.to_jsonable() == from_dir.to_jsonable()
 
     def test_write_report_and_cli(self, tmp_path, capsys):
         SweepRunner(results_dir=tmp_path, processes=1).run(self.GRID)

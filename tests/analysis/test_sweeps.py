@@ -393,25 +393,25 @@ class TestFaultIsolation:
         assert len(report.failed_cells) == 2
 
     def test_report_flags_failures(self, tmp_path):
-        from repro.analysis import digest_results_dir, digest_sweep_report
+        from repro.analysis import digest_results_dir
 
-        report = SweepRunner(results_dir=tmp_path, processes=1).run(self._grid())
-        for digest in (digest_sweep_report(report), digest_results_dir(tmp_path)):
-            assert digest.cell_count == 4
-            assert sorted((cell.scenario, cell.seed) for cell in digest.failed_cells) == [
-                ("explosive", 0),
-                ("explosive", 1),
-            ]
-            assert digest.failed_cells[0].error_type == "ValueError"
-            # Failures are flagged, never aggregated: the explosive scenario
-            # contributes no aggregate group at all.
-            for experiment in digest.experiments:
-                assert [s.scenario for s in experiment.scenarios] == ["healthy"]
-                for scenario in experiment.scenarios:
-                    assert set(scenario.seeds) == {0, 1}
-            assert "FAILED CELLS (2" in digest.render_text()
-            assert "Failed cells" in digest.render_markdown()
-            assert digest.to_jsonable()["failed"] == 2
+        SweepRunner(results_dir=tmp_path, processes=1).run(self._grid())
+        digest = digest_results_dir(tmp_path)
+        assert digest.cell_count == 4
+        assert sorted((cell.scenario, cell.seed) for cell in digest.failed_cells) == [
+            ("explosive", 0),
+            ("explosive", 1),
+        ]
+        assert digest.failed_cells[0].error_type == "ValueError"
+        # Failures are flagged, never aggregated: the explosive scenario
+        # contributes no aggregate group at all.
+        for experiment in digest.experiments:
+            assert [s.scenario for s in experiment.scenarios] == ["healthy"]
+            for scenario in experiment.scenarios:
+                assert set(scenario.seeds) == {0, 1}
+        assert "FAILED CELLS (2" in digest.render_text()
+        assert "Failed cells" in digest.render_markdown()
+        assert digest.to_jsonable()["failed"] == 2
 
 
 class TestBackendPlumbing:

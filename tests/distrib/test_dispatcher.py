@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis import SweepGrid, SweepRunner, bernoulli_scenario, gilbert_elliott_scenario
 from repro.analysis.sweeps import execute_cell_record
-from repro.distrib import DistribTimeouts, DistributedBackend, run_worker
+from repro.distrib import DistribTimeouts, DistributedBackend, SweepCoordinator, run_worker
 from repro.distrib.protocol import PROTOCOL_VERSION, MessageChannel
 from repro.distrib.worker import WorkerOutcome
 
@@ -273,6 +273,29 @@ class TestFingerprintVerification:
         runner_thread.join(timeout=15)
         good_thread.join(timeout=10)
         assert backend.stats.workers_rejected == 1
+
+
+class TestPeerRoles:
+    def test_monitor_role_refused(self):
+        """Workers are the coordinator's only peers: a ``hello`` with any
+        other role gets no ``welcome`` and its connection closes."""
+        coordinator = SweepCoordinator(fingerprint="test-tree")
+        address = coordinator.bind("127.0.0.1", 0)
+        try:
+            sock = socket.create_connection(address, timeout=5)
+            sock.settimeout(5)
+            channel = MessageChannel(sock)
+            try:
+                assert channel.recv()["type"] == "hello"
+                channel.send(
+                    "hello", role="monitor", protocol=PROTOCOL_VERSION, fingerprint="test-tree"
+                )
+                assert channel.recv() is None  # closed, no welcome
+            finally:
+                channel.close()
+            assert coordinator.stats.workers_connected == 0
+        finally:
+            coordinator.close()
 
 
 class TestCacheAwareScheduling:

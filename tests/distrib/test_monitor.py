@@ -1,9 +1,9 @@
-"""Status stream + live monitor: loopback integration tests.
+"""Fleet status: the snapshot accessor and the ``--status-json`` sink.
 
-A real coordinator socket, in-process workers, and a monitor attached over
-the same port: the ``status`` stream must carry schema-valid fleet
-snapshots, the ``--status-json`` sink must capture the same frames, and a
-read-only monitor must never count as a worker.
+A real coordinator socket and in-process workers: ``status_snapshot()``
+must be schema-valid, the sink must capture monotonic frames ending in a
+terminal ``done`` frame, and a coordinator without a sink runs no status
+thread.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 from repro.distrib import DistributedBackend
 from repro.distrib.coordinator import SweepCoordinator
-from repro.distrib.monitor import MonitorError, attach, frames, main as monitor_main
 from repro.distrib.protocol import STATUS_SCHEMA
 from repro.distrib.worker import run_worker
 from repro.obs import WORKER_COUNTER_FIELDS
@@ -64,8 +63,10 @@ class TestStatusAccessors:
         coordinator = SweepCoordinator(fingerprint=FINGERPRINT)
         try:
             coordinator.submit([(str(index), {"cache_key": f"k{index}"}) for index in range(3)])
-            assert coordinator.queue_depth == 3
-            assert coordinator.inflight_by_worker() == {}
+            snapshot = coordinator.status_snapshot()
+            assert snapshot["queue_depth"] == 3
+            assert snapshot["inflight"] == 0
+            assert all(row["inflight"] == 0 for row in snapshot["workers"].values())
         finally:
             coordinator.close()
 
@@ -81,7 +82,7 @@ class TestStatusAccessors:
             assert snapshot["done"] is False
             assert snapshot["workers"] == {}
             assert snapshot["fault_classes"] == {}
-            # JSON-serializable as-is: it doubles as the wire payload.
+            # JSON-serializable as-is: it is one line of the sink.
             json.dumps(snapshot)
         finally:
             coordinator.close()
@@ -146,172 +147,29 @@ class TestStatusJsonSink:
         assert len(set(seqs)) == len(seqs)
 
 
-class TestMonitorAttach:
-    def test_monitor_receives_frames_and_does_not_count_as_worker(self, tmp_path):
-        backend = DistributedBackend(
-            listen=("127.0.0.1", 0),
-            fingerprint=FINGERPRINT,
-            startup_timeout_s=30,
-            status_interval_s=0.05,
-        )
-        seen: list[dict] = []
+class TestStatusThread:
+    @staticmethod
+    def _threads_started_by_bind(coordinator) -> list[str]:
+        before = set(threading.enumerate())
+        coordinator.bind("127.0.0.1", 0)
+        return sorted(thread.name for thread in set(threading.enumerate()) - before)
 
-        def watch():
-            channel = attach(backend.address, connect_timeout_s=5.0, io_timeout_s=5.0)
-            try:
-                for frame in frames(channel):
-                    seen.append(frame)
-            finally:
-                channel.close()
-
-        watcher = threading.Thread(target=watch, daemon=True)
-        watcher.start()
-        _start_worker(backend.address)
-        records = list(backend.execute(_items(5)))
-        backend.close()
-        watcher.join(timeout=5.0)
-        assert len(records) == 5
-        assert seen, "monitor never received a status frame"
-        assert all(frame["schema"] == STATUS_SCHEMA for frame in seen)
-        assert seen[-1]["done"] is True
-        # The monitor session registered as a monitor, not a worker.
-        assert backend.stats.monitors_connected == 1
-        assert "monitor" not in backend.stats.per_worker
-
-    def test_monitor_alone_does_not_prevent_no_workers_timeout(self, tmp_path):
-        """An attached monitor must not read as fleet liveness: with zero
-        workers the sweep still falls back to local execution."""
-        backend = DistributedBackend(
-            listen=("127.0.0.1", 0),
-            fingerprint=FINGERPRINT,
-            startup_timeout_s=0.5,
-            status_interval_s=0.05,
-            fallback_processes=1,
-        )
-        channel = attach(backend.address, connect_timeout_s=5.0, io_timeout_s=5.0)
-        try:
-            items = [
-                (0, {"cache_key": "k0", "experiment": "section1_latency_budget"})
-            ]
-            # The real fallback executes through the sweep machinery; here we
-            # only need the NoWorkersError path to trigger, so patch the
-            # local pool out of the way.
-            records = {}
-
-            class _FakeLocal:
-                def __init__(self, processes=None):
-                    pass
-
-                def execute(self, pending):
-                    for position, payload in pending:
-                        records[position] = payload
-                        yield position, {"payload": payload, "elapsed_s": 0.0, "error": None}
-
-                def close(self):
-                    pass
-
-            import repro.distrib.backend as backend_module
-
-            original = backend_module.LocalPoolBackend
-            backend_module.LocalPoolBackend = _FakeLocal
-            try:
-                out = list(backend.execute(items))
-            finally:
-                backend_module.LocalPoolBackend = original
-            assert len(out) == 1
-            assert backend.stats.fallback_cells == 1
-        finally:
-            channel.close()
-            backend.close()
-
-    def test_monitor_with_wrong_protocol_version_rejected(self):
+    def test_no_sink_starts_no_status_thread(self):
         coordinator = SweepCoordinator(fingerprint=FINGERPRINT)
-        address = coordinator.bind("127.0.0.1", 0)
         try:
-            import socket as socket_module
-
-            from repro.distrib.protocol import MessageChannel
-
-            sock = socket_module.create_connection(address, timeout=5.0)
-            sock.settimeout(5.0)
-            channel = MessageChannel(sock)
-            try:
-                hello = channel.recv()
-                assert hello["type"] == "hello"
-                channel.send("hello", role="monitor", protocol=-1)
-                reply = channel.recv()
-                assert reply["type"] == "reject"
-                assert "protocol version" in reply["reason"]
-            finally:
-                channel.close()
+            assert self._threads_started_by_bind(coordinator) == ["distrib-accept"]
         finally:
             coordinator.close()
 
-    def test_monitor_skips_fingerprint_check(self):
-        """Monitors never execute cells, so any checkout may observe."""
-        coordinator = SweepCoordinator(fingerprint="coordinator-tree")
-        address = coordinator.bind("127.0.0.1", 0)
+    def test_sink_starts_the_status_thread(self):
+        frames: list[dict] = []
+        coordinator = SweepCoordinator(
+            fingerprint=FINGERPRINT, status_interval_s=0.05, status_sink=frames.append
+        )
         try:
-            channel = attach(address, connect_timeout_s=5.0, io_timeout_s=5.0)
-            # The immediate attach frame proves registration completed.
-            first = next(frames(channel))
-            channel.close()
-            assert first["schema"] == STATUS_SCHEMA
-            assert coordinator.stats.monitors_connected == 1
+            started = self._threads_started_by_bind(coordinator)
+            assert started == ["distrib-accept", "distrib-status"]
         finally:
             coordinator.close()
-
-
-class TestMonitorCli:
-    def test_json_once_mode(self, tmp_path, capsys):
-        backend = DistributedBackend(
-            listen=("127.0.0.1", 0),
-            fingerprint=FINGERPRINT,
-            startup_timeout_s=30,
-            status_interval_s=0.05,
-        )
-        host, port = backend.address
-        try:
-            exit_code = monitor_main(["--connect", f"{host}:{port}", "--json", "--once"])
-            out = capsys.readouterr().out
-            frame = json.loads(out.strip().splitlines()[-1])
-            assert exit_code == 0
-            assert frame["schema"] == STATUS_SCHEMA
-        finally:
-            backend.close()
-
-    def test_dashboard_once_mode_renders(self, tmp_path, capsys):
-        backend = DistributedBackend(
-            listen=("127.0.0.1", 0),
-            fingerprint=FINGERPRINT,
-            startup_timeout_s=30,
-            status_interval_s=0.05,
-        )
-        host, port = backend.address
-        try:
-            exit_code = monitor_main(["--connect", f"{host}:{port}", "--once"])
-            out = capsys.readouterr().out
-            assert exit_code == 0
-            assert "fleet status" in out
-            assert "queue" in out
-        finally:
-            backend.close()
-
-    def test_connect_failure_exits_nonzero(self, capsys):
-        exit_code = monitor_main(["--connect", "127.0.0.1:1", "--connect-timeout", "0.2"])
-        assert exit_code == 2
-        assert "monitor:" in capsys.readouterr().err
-
-    def test_unknown_schema_frame_raises(self):
-        class _FakeChannel:
-            def __init__(self):
-                self._sent = False
-
-            def recv(self):
-                if self._sent:
-                    return None
-                self._sent = True
-                return {"type": "status", "schema": "repro-status-v999"}
-
-        with pytest.raises(MonitorError):
-            list(frames(_FakeChannel()))
+        # close() writes the terminal frame through the sink.
+        assert frames and frames[-1]["schema"] == STATUS_SCHEMA

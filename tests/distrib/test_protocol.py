@@ -180,7 +180,6 @@ class TestMessageChannel:
             "done",
             "result",
             "heartbeat",
-            "status",
             "bye",
         }
 

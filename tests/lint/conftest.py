@@ -15,12 +15,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def lint_tree(tmp_path):
     """Write ``{relpath: source}`` under a temp root and lint it."""
 
-    def run(files: dict[str, str], baseline: Path | None = None) -> LintResult:
+    def run(files: dict[str, str]) -> LintResult:
         for relpath, source in files.items():
             path = tmp_path / relpath
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(source, encoding="utf-8")
-        return lint_root(tmp_path, baseline_path=baseline)
+        return lint_root(tmp_path)
 
     return run
 

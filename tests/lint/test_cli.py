@@ -1,4 +1,4 @@
-"""End-to-end CLI tests: exit codes, output formats, baseline writing."""
+"""End-to-end CLI tests: exit codes and output formats."""
 
 from __future__ import annotations
 
@@ -69,16 +69,16 @@ class TestExitCodes:
         assert main(["--root", str(FIXTURES / "broken_protocol")]) == 1
         assert "protocol-exhaustive" in capsys.readouterr().out
 
-    def test_unreadable_baseline_exits_two(self, tmp_path, capsys):
-        assert main(
-            [
-                "--root",
-                str(tmp_path),
-                "--baseline",
-                str(tmp_path / "missing-baseline.json"),
-            ]
-        ) == 2
-        assert "cannot read baseline" in capsys.readouterr().err
+    def test_missing_root_exits_two(self, tmp_path, capsys):
+        """A mistyped root must not scan nothing and pass as clean."""
+        assert main(["--root", str(tmp_path / "missing")]) == 2
+        captured = capsys.readouterr()
+        assert "not a directory" in captured.err
+        assert "clean" not in captured.out
+        not_a_dir = tmp_path / "module.py"
+        not_a_dir.write_text("x = 1\n", encoding="utf-8")
+        assert main(["--root", str(not_a_dir)]) == 2
+        assert "not a directory" in capsys.readouterr().err
 
 
 class TestJsonFormat:
@@ -87,6 +87,7 @@ class TestJsonFormat:
             main(["--root", str(REPO_ROOT / "src" / "repro"), "--format", "json"]) == 0
         )
         report = json.loads(capsys.readouterr().out)
+        assert report["version"] == 2
         assert report["clean"] is True
         assert report["findings"] == []
         assert report["files_checked"] > 50
@@ -100,48 +101,6 @@ class TestJsonFormat:
         finding = report["findings"][0]
         assert finding["path"] == "analysis/sim.py"
         assert finding["line"] == 2
-
-
-class TestBaselineFlags:
-    def test_write_baseline_then_lint_clean(self, tmp_path, capsys):
-        write_tree(tmp_path, RULE_FIXTURES["wall-clock"])
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(["--root", str(tmp_path), "--write-baseline", str(baseline)]) == 0
-        )
-        assert (
-            main(["--root", str(tmp_path), "--baseline", str(baseline)]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_write_baseline_refuses_hot_layer_findings(self, tmp_path, capsys):
-        write_tree(tmp_path, RULE_FIXTURES["hot-slots"])
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(["--root", str(tmp_path), "--write-baseline", str(baseline)]) == 1
-        )
-        assert not baseline.exists()
-        assert "refusing to baseline" in capsys.readouterr().err
-
-    def test_no_baseline_flag_reports_everything(self, tmp_path, capsys):
-        write_tree(tmp_path, RULE_FIXTURES["wall-clock"])
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(["--root", str(tmp_path), "--write-baseline", str(baseline)]) == 0
-        )
-        assert (
-            main(
-                [
-                    "--root",
-                    str(tmp_path),
-                    "--baseline",
-                    str(baseline),
-                    "--no-baseline",
-                ]
-            )
-            == 1
-        )
 
 
 class TestListRules:

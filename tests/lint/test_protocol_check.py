@@ -137,7 +137,7 @@ class TestRealDispatcherCoverage:
         contexts = self._contexts()
         sent: set[str] = set()
         handled: set[str] = set()
-        for relpath in ("distrib/coordinator.py", "distrib/worker.py", "distrib/monitor.py"):
+        for relpath in ("distrib/coordinator.py", "distrib/worker.py"):
             sent |= set(collect_sent(contexts[relpath]))
             handled |= set(collect_handled(contexts[relpath]))
         assert sent == set(MESSAGE_TYPES)
